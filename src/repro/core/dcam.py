@@ -19,13 +19,20 @@ recorded; ``n_g / k`` is the paper's label-free proxy for explanation quality
 Execution strategy
 ------------------
 Explanation only needs activations, never gradients, so the hot path runs the
-``k`` permuted cubes through the model in micro-batches under
-:func:`repro.nn.inference_mode`: no autograd graph is recorded, the im2col
-buffers of the convolutions are released immediately, and the per-permutation
-``M`` transformations are materialised by one fancy-indexed gather over the
-stacked ``(k, D, n)`` CAM array instead of a Python loop of ``(D, D, n)``
-temporaries.  :func:`_permutation_cam` retains the legacy one-permutation
-graph-recording path as a numerical reference for tests and benchmarks.
+``k`` permuted series through the model in micro-batches under
+:func:`repro.nn.inference_mode`: no autograd graph is recorded and the
+per-permutation ``M`` transformations are materialised by one fancy-indexed
+gather over the stacked ``(k, D, n)`` CAM array instead of a Python loop of
+``(D, D, n)`` temporaries.
+
+No ``C(T)`` cube is built for the dCNN.  Cube row ``r`` is the permuted series
+rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
+data (:func:`repro.nn.functional.cube_conv_bn_relu`) and reads each permuted
+``(D, n)`` series directly; it agrees with the cube path to float round-off.
+dResNet and dInceptionTime, whose first blocks are not a single
+``Conv → BatchNorm → ReLU``, still get the cube.  :func:`_permutation_cam`
+retains the legacy one-permutation graph-recording cube path as a numerical
+reference for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import inference_mode
+from ..nn import Tensor, inference_mode
 from .input_transform import inverse_order, random_permutations
 
 __all__ = [
@@ -48,8 +55,9 @@ __all__ = [
     "explanation_quality_proxy",
 ]
 
-#: Default number of permuted cubes per forward pass.  Bounds the peak im2col
-#: footprint (which grows linearly with the micro-batch size) while keeping
+#: Default number of permuted series per forward pass.  Bounds the peak
+#: footprint of the trunk's feature maps (and, for dResNet/dInceptionTime, of
+#: the cubes), which grows linearly with the micro-batch size, while keeping
 #: the matrix multiplications large enough to amortise Python dispatch.
 DEFAULT_BATCH_SIZE = 32
 
@@ -65,6 +73,18 @@ _MERGE_SCRATCH_BYTES = 128 * 1024 * 1024
 #: setting's speed at half the peak transient footprint (sweep recorded in
 #: docs/benchmarks.md).
 _BATCH_MATERIALIZE_BYTES = 128 * 1024 * 1024
+
+
+def _materialize_group(permutations: int, n_dimensions: int, length: int) -> int:
+    """How many items of ``permutations`` rows each fit the materialisation cap.
+
+    An item's permuted series and CAM stack cost ``~2 · k · D · n · 8`` bytes;
+    the answer is at least 1.  The one accounting behind
+    :func:`compute_dcam_batch`'s instance groups and the cached explainer's
+    instance groups and forward chunks.
+    """
+    bytes_per_item = 2 * permutations * n_dimensions * length * 8
+    return max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_item))
 
 
 @dataclass
@@ -173,7 +193,7 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
         Per-row dense-layer weight vectors ``w^{C}`` of shape ``(N, F)`` —
         rows may differ when explaining several instances/classes at once.
     batch_size:
-        Number of cubes per forward pass (peak-memory knob).
+        Number of permuted series per forward pass (peak-memory knob).
 
     Returns
     -------
@@ -187,9 +207,15 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
     predicted = np.empty(n_total, dtype=np.int64)
     batch_size = max(1, int(batch_size))
     with inference_mode():
+        # A dCNN's layer 1 reads the permuted series directly; the other
+        # d-architectures get the C(T) cube.
+        reads_series = model.series_block() is not None
         for start in range(0, n_total, batch_size):
             stop = min(start + batch_size, n_total)
-            prepared = model.prepare_input(permuted[start:stop])
+            if reads_series:
+                prepared = Tensor(permuted[start:stop].astype(model.compute_dtype, copy=False))
+            else:
+                prepared = model.prepare_input(permuted[start:stop])
             features = model.features(prepared)
             logits = model.classifier(model.gap(features))
             cams[start:stop] = np.einsum(
@@ -335,7 +361,7 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
                  batch_size: int = DEFAULT_BATCH_SIZE) -> DCAMResult:
     """Compute dCAM for one multivariate series.
 
-    The ``k`` permuted cubes are evaluated in graph-free micro-batches (see
+    The ``k`` permuted series are evaluated in graph-free micro-batches (see
     the module docstring), which is several times faster than ``k``
     independent autograd-recording forward passes while producing maps that
     agree with the legacy path to float round-off (≤ 1e-10).
@@ -358,12 +384,13 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         If True, only permutations classified as ``class_id`` contribute to
         ``M̄`` (falling back to all permutations when none is correct).
     batch_size:
-        Number of permuted cubes per forward pass.  Larger values amortise
+        Number of permuted series per forward pass.  Larger values amortise
         per-call overhead and enlarge the underlying matrix multiplications
-        (faster), but peak memory — dominated by the im2col patch buffers of
-        the convolutions — grows linearly with it.  The default of
-        ``32`` is a good trade-off for the paper's scales; lower it for very
-        long series or high-dimensional cubes, raise it for tiny problems.
+        (faster), but peak memory — the trunk's ``(batch, F, D, n)`` feature
+        maps, plus the ``(batch, D, D, n)`` cubes for dResNet and
+        dInceptionTime — grows linearly with it.  The default of ``32`` is a
+        good trade-off for the paper's scales; lower it for very long series
+        or many dimensions, raise it for tiny problems.
         Results agree across ``batch_size`` values (and with the legacy
         per-permutation path) to within a few ulps of floating-point
         round-off — well under 1e-10 — not necessarily bit-for-bit.
@@ -439,10 +466,7 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
     class_ids = [int(c) for c in class_ids]
     counts = [len(orders) for orders in per_instance_orders]
 
-    # Permuted series + CAM stacks cost ~2 * k_i * D * n * 8 bytes per instance.
-    max_count = max(counts) if counts else 0
-    bytes_per_instance = 2 * max_count * n_dimensions * length * 8
-    group = max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_instance))
+    group = _materialize_group(max(counts, default=0), n_dimensions, length)
 
     results: List[DCAMResult] = []
     for first in range(0, n_instances, group):

@@ -29,7 +29,7 @@ class ExperimentScale:
     n_runs: int = 1
     #: Number of random permutations for dCAM (the paper uses 100).
     k_permutations: int = 20
-    #: Permuted cubes per forward pass in the batched dCAM pipeline.  A
+    #: Permuted series per forward pass in the batched dCAM pipeline.  A
     #: speed / peak-memory trade-off; results agree across values to float
     #: round-off (≤ 1e-10).
     dcam_batch_size: int = DEFAULT_BATCH_SIZE

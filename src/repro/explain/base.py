@@ -66,7 +66,7 @@ class Explainer:
         Number of random permutations (only consumed by the dCAM family).
     batch_size:
         Micro-batch width of the batched engines: inputs per forward pass for
-        CAM/grad-CAM, permuted cubes per forward pass for dCAM.  A speed /
+        CAM/grad-CAM, permuted series per forward pass for dCAM.  A speed /
         peak-memory trade-off that never changes results beyond float
         round-off.
     rng:

@@ -28,9 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.dcam import (
-    _BATCH_MATERIALIZE_BYTES,
     DCAMResult,
     _assemble_result,
+    _materialize_group,
     _permutation_cams_batched,
     _stack_orders,
     compute_dcam,
@@ -149,14 +149,13 @@ class DCAMExplainer(Explainer):
                     predicted[index][position] = predicted_class
 
         if missing:
-            # Honour compute_dcam_batch's materialisation cap: permuted series
-            # + CAM rows cost ~2 * D * n * 8 bytes per missing permutation.
-            # Chunk boundaries are kept at multiples of the micro-batch width,
-            # so the forward-pass partition (and therefore every bit of the
-            # result) is identical to one unchunked call.
+            # Honour compute_dcam_batch's materialisation cap, one missing
+            # permutation per item.  Chunk boundaries are kept at multiples of
+            # the micro-batch width, so the forward-pass partition (and
+            # therefore every bit of the result) is identical to one
+            # unchunked call.
             _, n_dimensions, length = X.shape
-            bytes_per_permutation = 2 * n_dimensions * length * 8
-            chunk = max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_permutation))
+            chunk = _materialize_group(1, n_dimensions, length)
             chunk = max(self.batch_size, chunk - chunk % self.batch_size)
             for chunk_start in range(0, len(missing), chunk):
                 chunk_missing = missing[chunk_start : chunk_start + chunk]
@@ -248,9 +247,7 @@ class DCAMExplainer(Explainer):
             # compute_dcam_batch so the group honours the memory cap.
             max_count = max((len(orders) for orders in per_instance_orders),
                             default=1)
-            bytes_per_instance = 2 * max_count * n_dimensions * length * 8
-            group = min(group, max(1, _BATCH_MATERIALIZE_BYTES
-                                   // max(1, bytes_per_instance)))
+            group = min(group, _materialize_group(max_count, n_dimensions, length))
             for start in range(0, n_instances, group):
                 stop = min(start + group, n_instances)
                 results = self._cached_results(X[start:stop], class_ids[start:stop],

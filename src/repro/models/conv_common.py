@@ -23,12 +23,23 @@ trunks.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.input_transform import build_cube_batch
-from ..nn import GlobalAveragePooling, Linear, Module, Tensor
+from ..nn import (
+    BatchNorm,
+    Conv2d,
+    GlobalAveragePooling,
+    Linear,
+    Module,
+    Sequential,
+    Tensor,
+    is_grad_enabled,
+    row_conv_block,
+)
+from ..nn.functional import cube_conv_bn_relu
 from .base import BaseClassifier
 
 
@@ -54,8 +65,42 @@ class ConvBackboneClassifier(BaseClassifier):
         self.classifier = Linear(self.feature_channels, self.n_classes, rng=self.rng)
 
     def features(self, x: Tensor) -> Tensor:
-        """Feature maps ``A_m`` of the last convolutional layer."""
+        """Feature maps ``A_m`` of the last convolutional layer.
+
+        When :meth:`series_block` finds one, a d-architecture also takes the
+        (dimension-permuted) series ``(batch, D, n)`` in place of its cube:
+        layer 1 then reads the series through
+        :func:`~repro.nn.functional.cube_conv_bn_relu` and ``C(T)`` is never
+        built.  dCAM's forward pass uses this.
+        """
+        if x.ndim == 3 and self.input_kind == "cube":
+            first = self.series_block()
+            if first is None:
+                raise ValueError(
+                    f"{type(self).__name__}.features needs the C(T) cube here: only an "
+                    f"eval-mode trunk whose first block is a (1, ℓ) Conv2d -> BatchNorm "
+                    f"-> ReLU reads the series, under inference_mode")
+            out = Tensor(cube_conv_bn_relu(x.data, *first), name="cube_conv_bn_relu")
+            for block in self.feature_extractor.children_list[1:]:
+                out = block(out)
+            return out
         return self.feature_extractor(x)
+
+    def series_block(self) -> Optional[Tuple[Conv2d, BatchNorm]]:
+        """Layer 1's ``(conv, bn)`` when :meth:`features` can read the series.
+
+        That is a d-architecture at inference (no autograd, BatchNorm in eval
+        mode) whose ``Sequential`` trunk starts with a
+        :func:`~repro.nn.row_conv_block`: the dCNN.  ``None`` otherwise —
+        dResNet and dInceptionTime always consume the cube.
+        """
+        trunk = getattr(self, "feature_extractor", None)
+        if self.input_kind != "cube" or is_grad_enabled() or not isinstance(trunk, Sequential):
+            return None
+        first = row_conv_block(trunk[0])
+        if first is None or first[1].training:
+            return None
+        return first
 
     def forward(self, x: Tensor) -> Tensor:
         return self.classifier(self.gap(self.features(x)))

@@ -28,6 +28,7 @@ from .layers import (
     Sequential,
     Sigmoid,
     Tanh,
+    row_conv_block,
 )
 from .loss import CrossEntropyLoss, cross_entropy, mse_loss, nll_loss
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
@@ -76,6 +77,7 @@ __all__ = [
     "Flatten",
     "Identity",
     "Sequential",
+    "row_conv_block",
     "RNNCell",
     "LSTMCell",
     "GRUCell",

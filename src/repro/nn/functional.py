@@ -313,6 +313,57 @@ def fused_conv_bn_relu(x_data: np.ndarray, conv, bn,
     return out
 
 
+def cube_conv_bn_relu(series: np.ndarray, conv, bn,
+                      padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    """:func:`fused_conv_bn_relu` over the ``C(T)`` cube, read off the series.
+
+    Computes ``fused_conv_bn_relu(build_cube_batch(series), conv, bn,
+    padding)`` for a ``(batch, D, n)`` stack of (permuted) series and a
+    ``(1, ℓ)``, stride-1 ``conv`` with ``D`` input channels, without building
+    the cube.  Cube row ``r`` is the series rotated by ``r`` dimensions, so::
+
+        out[o, r, t] = Σ_{s, j} W[o, (s - r) mod D, j] · S[s, t + j]
+
+    The BatchNorm-folded kernels are gathered once per call into a rotated
+    bank of shape ``(F·D, D·ℓ)``, the series into a ``(batch, D·ℓ, n)``
+    im2col (D× smaller than the cube's), and one stacked ``matmul`` lands
+    the result in NCHW ``(batch, F, D, n)``.  Every series gets an
+    identically shaped product, so a row's bits do not depend on the batch
+    width.  Agrees with the cube path to float round-off, not bitwise.
+    ``padding`` overrides the conv's time padding as in the fused kernel;
+    the height padding must be 0.
+    """
+    batch, n_dimensions, length = series.shape
+    kh, kw = conv.kernel_size
+    ph, pw = conv.padding if padding is None else padding
+    if kh != 1 or ph != 0 or tuple(conv.stride) != (1, 1):
+        raise ValueError("cube_conv_bn_relu needs a (1, ℓ) stride-1 kernel "
+                         "with no height padding")
+    out_channels = conv.out_channels
+    scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
+    shift = bn.bias.data - bn.running_mean * scale
+    if conv.bias is not None:
+        shift = shift + conv.bias.data * scale
+    weight = conv.weight.data[:, :, 0, :] * scale[:, None, None]  # (F, D, ℓ)
+    # rotation[r, s] = position of series dimension s within cube row r.
+    positions = np.arange(n_dimensions)
+    rotation = (positions[None, :] - positions[:, None]) % n_dimensions
+    bank = weight[:, rotation, :].reshape(out_channels * n_dimensions, n_dimensions * kw)
+    padded = np.zeros((batch, n_dimensions, length + 2 * pw), dtype=series.dtype)
+    padded[..., pw: pw + length] = series
+    out_w = length + 2 * pw - kw + 1
+    s0, s1, s2 = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(batch, n_dimensions, kw, out_w), strides=(s0, s1, s2, s2),
+        writeable=False,
+    )
+    cols = windows.reshape(batch, n_dimensions * kw, out_w)
+    out = np.matmul(bank, cols).reshape(batch, out_channels, n_dimensions, out_w)
+    out += shift.reshape(1, out_channels, 1, 1)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,

@@ -431,3 +431,23 @@ class Sequential(Module):
         for module in modules:
             x = module(x)
         return x
+
+
+def row_conv_block(module: Module) -> Optional[Tuple[Conv2d, BatchNorm]]:
+    """``(conv, bn)`` of a ``Sequential(Conv2d, BatchNorm, ReLU)`` row block.
+
+    A row block's conv has a ``(1, ℓ)`` kernel, stride ``(1, 1)`` and no
+    height padding, so it never mixes the rows of its input.  That is what
+    lets a d-architecture's first block read the permuted series instead of
+    the ``C(T)`` cube (:func:`~repro.nn.functional.cube_conv_bn_relu`) and
+    the streaming trunk shift its maps column by column.  ``None`` for any
+    other module.
+    """
+    if not isinstance(module, Sequential) or len(module) != 3:
+        return None
+    conv, bn, relu = module[0], module[1], module[2]
+    if type(conv) is not Conv2d or not isinstance(bn, BatchNorm) or type(relu) is not ReLU:
+        return None
+    if conv.stride != (1, 1) or conv.kernel_size[0] != 1 or conv.padding[0] != 0:
+        return None
+    return conv, bn

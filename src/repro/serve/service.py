@@ -93,8 +93,9 @@ class ServeConfig:
     #: Seconds :meth:`ExplanationService.close` waits for queued requests to
     #: drain before failing the remainder fast; ``None`` waits indefinitely.
     drain_timeout_s: Optional[float] = 30.0
-    #: Micro-batch width of the underlying engines (cubes per forward for
-    #: dCAM); a speed / peak-memory knob that never changes response bytes.
+    #: Micro-batch width of the underlying engines (permuted series per
+    #: forward for dCAM); a speed / peak-memory knob that never changes
+    #: response bytes.
     engine_batch_size: int = 32
     #: Default permutation count for dCAM explains that do not send ``k``.
     default_k: int = DEFAULT_K
@@ -297,6 +298,12 @@ class ExplanationService:
             raise ValueError(
                 f"instance must have shape ({artifact.n_dimensions}, "
                 f"{artifact.length}) for model {artifact.name!r}, got {series.shape}"
+            )
+        # json.loads accepts NaN and Infinity; they would come back as a
+        # partly-NaN heatmap (and a non-JSON NaN token) and be cached.
+        if not np.isfinite(series).all():
+            raise ValueError(
+                f"instance for model {artifact.name!r} holds NaN or infinite values"
             )
         return series
 

@@ -22,15 +22,18 @@ and new windows and are always safe.  Hence per layer::
 with ``a = 0, b = W - hop`` at the first layer.  Each hop therefore touches
 ``O(hop + depth * p)`` columns per layer instead of ``O(W)``.
 
-Dirty columns are recomputed through the exact
-:func:`~repro.nn.functional.fused_conv_bn_relu` kernel the full-width
-inference path uses, fed a pre-assembled slab (interior slice plus explicit
-boundary zeros) with ``padding=(0, 0)`` so interior slices are not spuriously
-re-padded.  A full rebuild (:meth:`IncrementalTrunk.reset`) issues the same
-full-width fused calls as :class:`repro.nn.Sequential`'s inference fast path,
-so cold starts are bitwise-identical to the naive engine; shifted hops agree
-to float round-off (≤ 1e-10 at float64 — einsum/BLAS accumulation is
-layout-sensitive, so per-column bits may differ across call widths).
+Dirty columns are recomputed through the exact kernel the full-width
+inference path uses — :func:`~repro.nn.functional.fused_conv_bn_relu`, or
+for a d-architecture's layer 1 :func:`~repro.nn.functional.cube_conv_bn_relu`
+over the permuted series (row 0 of the cube), as in dCAM's forward pass —
+fed a pre-assembled slab (interior slice plus explicit boundary zeros) with
+``padding=(0, 0)`` so interior slices are not spuriously re-padded.  A full
+rebuild (:meth:`IncrementalTrunk.reset`) issues the same full-width calls as
+the model's inference ``features``, so cold starts are bitwise-identical to
+the naive engine; shifted hops agree to float round-off (≤ 1e-10 at float64
+— einsum/BLAS accumulation is layout-sensitive, so per-column bits may
+differ across call widths).  Layer 1's per-hop cost stays proportional to
+the changed columns.
 
 Only the CNN family qualifies: a trunk of ``Sequential(Conv, BatchNorm,
 ReLU)`` blocks with time stride 1, odd kernels and "same" padding (1D
@@ -47,8 +50,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..nn import BatchNorm, Conv1d, Conv2d, ReLU, Sequential
-from ..nn.functional import fused_conv_bn_relu
+from ..nn import BatchNorm, Conv1d, Conv2d, ReLU, Sequential, row_conv_block
+from ..nn.functional import cube_conv_bn_relu, fused_conv_bn_relu
 
 __all__ = ["IncrementalTrunk", "UnsupportedArchitectureError", "supports_incremental"]
 
@@ -60,13 +63,21 @@ class UnsupportedArchitectureError(TypeError):
 class _Block:
     """One Conv→BatchNorm→ReLU block plus its time-padding metadata."""
 
-    __slots__ = ("conv", "bn", "pad", "lifted")
+    __slots__ = ("conv", "bn", "pad", "lifted", "series")
 
     def __init__(self, conv, bn, pad: int, lifted: bool) -> None:
         self.conv = conv
         self.bn = bn
         self.pad = pad
         self.lifted = lifted
+        #: Layer 1 of a d-architecture: reads the permuted series, not the cube.
+        self.series = False
+
+    def run(self, x: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
+        """The block's fused inference kernel over ``x``."""
+        if self.series:
+            return cube_conv_bn_relu(x, self.conv, self.bn, padding=padding)
+        return fused_conv_bn_relu(x, self.proxy(), self.bn, padding=padding)
 
     def proxy(self):
         """The conv handle :func:`fused_conv_bn_relu` consumes.
@@ -99,14 +110,12 @@ def _validate_block(module, index: int) -> _Block:
             f"trunk block #{index} is not a Sequential(Conv, BatchNorm, ReLU)"
         )
     if type(conv) is Conv2d:
-        kh, kw = conv.kernel_size
-        ph, pw = conv.padding
-        if conv.stride != (1, 1) or kh != 1 or ph != 0:
+        if row_conv_block(module) is None:
             raise UnsupportedArchitectureError(
                 f"trunk block #{index}: need stride (1, 1) and a (1, ℓ) kernel "
                 f"with no height padding"
             )
-        kernel, pad, lifted = kw, pw, False
+        kernel, pad, lifted = conv.kernel_size[1], conv.padding[1], False
     elif type(conv) is Conv1d:
         if conv.stride != 1:
             raise UnsupportedArchitectureError(
@@ -131,7 +140,9 @@ def _validate_trunk(model) -> List[_Block]:
         raise UnsupportedArchitectureError(
             f"{type(model).__name__} has no Sequential conv trunk"
         )
-    return [_validate_block(module, index) for index, module in enumerate(trunk)]
+    blocks = [_validate_block(module, index) for index, module in enumerate(trunk)]
+    blocks[0].series = getattr(model, "input_kind", None) == "cube"
+    return blocks
 
 
 def supports_incremental(model) -> bool:
@@ -157,6 +168,10 @@ class IncrementalTrunk:
         self._blocks = _validate_trunk(model)
         self._outputs: List[np.ndarray] = []
 
+    def _first_input(self, x: np.ndarray) -> np.ndarray:
+        """Layer 1's input: row 0 of a cube is the permuted series itself."""
+        return x[:, 0] if self._blocks[0].series else x
+
     @property
     def has_state(self) -> bool:
         return bool(self._outputs)
@@ -168,16 +183,16 @@ class IncrementalTrunk:
     def reset(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
         """Full forward of ``x`` (``(B, C, H, W)``), caching every block's map.
 
-        Issues the same full-width fused kernels as the Sequential inference
-        fast path, so the result is bitwise-identical to a naive forward.
+        Issues the same full-width fused kernels as the model's inference
+        :meth:`~repro.models.conv_common.ConvBackboneClassifier.features`, so
+        the result is bitwise-identical to a naive forward (for a
+        d-architecture: to dCAM's, whose layer 1 reads the series).
         """
         width = x.shape[-1]
         outputs: List[np.ndarray] = []
-        current = x
+        current = self._first_input(x)
         for block in self._blocks:
-            current = fused_conv_bn_relu(
-                current, block.proxy(), block.bn, padding=(0, block.pad)
-            )
+            current = block.run(current, (0, block.pad))
             outputs.append(current)
         self._outputs = outputs
         return current, (width, 0)
@@ -195,7 +210,7 @@ class IncrementalTrunk:
         if not self._outputs or hop >= width:
             return self.reset(x)
         a, b = 0, width - hop
-        current = x
+        current = self._first_input(x)
         for index, block in enumerate(self._blocks):
             pad = block.pad
             out = self._outputs[index]
@@ -204,9 +219,7 @@ class IncrementalTrunk:
             if a_new >= b_new:
                 # Dirty regions met: recompute the whole layer (and, since
                 # everything below is now dirty, every layer above it).
-                out[...] = fused_conv_bn_relu(
-                    current, block.proxy(), block.bn, padding=(0, pad)
-                )
+                out[...] = block.run(current, (0, pad))
                 a, b = width, 0
             else:
                 out[..., : width - hop] = out[..., hop:]
@@ -234,4 +247,4 @@ class IncrementalTrunk:
             slab = np.zeros(x.shape[:-1] + (src_hi - src_lo,), dtype=x.dtype)
             clip_lo, clip_hi = max(0, src_lo), min(width, src_hi)
             slab[..., clip_lo - src_lo : clip_hi - src_lo] = x[..., clip_lo:clip_hi]
-        return fused_conv_bn_relu(slab, block.proxy(), block.bn, padding=(0, 0))
+        return block.run(slab, (0, 0))

@@ -279,7 +279,8 @@ class StreamSession:
 
         ``samples`` is one timestep ``(D,)`` or a block ``(D, m)``.  A block
         crossing several emission points yields several results, identical
-        to pushing one timestep at a time.
+        to pushing one timestep at a time.  A block holding NaN or infinite
+        values raises :class:`ValueError` and consumes nothing.
         """
         block = np.asarray(samples, dtype=np.float64)
         if block.ndim == 1:
@@ -289,6 +290,10 @@ class StreamSession:
                 f"samples must be (D,) or (D, m) with D={self._ring._buf.shape[0]}, "
                 f"got shape {np.asarray(samples).shape}"
             )
+        # Checked before the ring is touched: a rejected push leaves the
+        # window, and so every later emission, as it was.
+        if not np.isfinite(block).all():
+            raise ValueError("samples hold NaN or infinite values")
         results: List[StreamResult] = []
         offset, m = 0, block.shape[1]
         while offset < m:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.core.dcam as core_dcam
 from repro.core.dcam import (
+    _materialize_group,
     _m_transform,
     _permutation_cam,
     compute_dcam,
@@ -151,3 +153,34 @@ class TestMergeValidation:
         )
         np.testing.assert_allclose(merge_permutation_cams(pairs), expected,
                                    rtol=0, atol=ATOL)
+
+
+class TestMaterializationCap:
+    def test_group_accounting(self, monkeypatch):
+        monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 10_000)
+        # ~2 · k · D · n · 8 bytes per item, and never fewer than one item.
+        assert _materialize_group(2, 4, 10) == 10_000 // (2 * 2 * 4 * 10 * 8)
+        assert _materialize_group(100, 40, 100) == 1
+        assert _materialize_group(0, 4, 10) == 10_000
+
+    def test_capped_groups_keep_every_bit(self, monkeypatch, trained_dcnn,
+                                          tiny_type1_dataset):
+        from repro.explain import get_explainer
+        from repro.serve import ExplanationCache
+
+        X, y = tiny_type1_dataset.X[:4], tiny_type1_dataset.y[:4]
+        perms = [random_permutations(X.shape[1], 6, np.random.default_rng(seed))
+                 for seed in range(4)]
+
+        def run_all():
+            batch = compute_dcam_batch(trained_dcnn, X, y, permutations=perms, batch_size=4)
+            explainer = get_explainer(trained_dcnn, batch_size=4,
+                                      cache=ExplanationCache(max_memory_bytes=None))
+            cached = explainer.explain_batch(X, y, permutations=perms)
+            return [r.dcam for r in batch] + [e.heatmap for e in cached]
+
+        free = run_all()
+        # One instance per group and one micro-batch per cached forward chunk.
+        monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 1)
+        capped = run_all()
+        assert all(np.array_equal(a, b) for a, b in zip(free, capped))

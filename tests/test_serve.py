@@ -650,6 +650,33 @@ class TestHTTP:
         status, body = self._post(f"{live_server}/nope", {})
         assert status == 404
 
+    def test_non_finite_instances_are_rejected_uncached(self, serve_store,
+                                                        tiny_type1_dataset):
+        # json.loads accepts NaN/Infinity: they must answer 400, not a
+        # partly-NaN heatmap or NaN logits, and must never reach the cache.
+        service = make_service(serve_store, max_batch_size=4, max_wait_ms=1)
+        server, thread = serve_in_background(service)
+        host, port = server.server_address[:2]
+        url = f"http://{host}:{port}"
+        try:
+            for bad in (np.nan, np.inf, -np.inf):
+                series = tiny_type1_dataset.X[0].copy()
+                series[1, 3] = bad
+                status, body = self._post(
+                    f"{url}/explain",
+                    {"model": "dcnn-t", "instance": series.tolist(),
+                     "class_id": 1, "k": 4, "seed": 0})
+                assert status == 400 and "NaN or infinite" in body["error"]
+                for model in ("ccnn-t", "dcnn-t"):
+                    status, body = self._post(
+                        f"{url}/classify", {"model": model, "instance": series.tolist()})
+                    assert status == 400 and "NaN or infinite" in body["error"]
+            assert len(service.cache) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
     def test_concurrent_http_clients(self, live_server, tiny_type1_dataset):
         X = tiny_type1_dataset.X
 

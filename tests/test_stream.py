@@ -22,6 +22,7 @@ from repro.models import (
     DResNetClassifier,
     GRUClassifier,
 )
+from repro.nn import Tensor
 from repro.serve import ExplanationCache
 from repro.serve.cache import stream_window_key
 from repro.serve.store import ModelArtifactStore
@@ -130,12 +131,16 @@ class TestIncrementalSupport:
         window = make_feed(32)
         from repro.nn import inference_mode
 
+        # dCAM's forward (the naive engine's) reads layer 1 off the series:
+        # the cold start matches it bitwise, and the cube path to round-off.
         with inference_mode():
-            expected = model.features(model.prepare_input(window[None])).data
+            expected = model.features(Tensor(window[None])).data
+            through_cube = model.features(model.prepare_input(window[None])).data
         cube = model.prepare_input(window[None]).data
         features, (a, b) = trunk.reset(cube)
         assert (a, b) == (32, 0)
         np.testing.assert_array_equal(features, expected)
+        np.testing.assert_allclose(features, through_cube, rtol=1e-12, atol=1e-12)
 
 
 class TestDcamParity:
@@ -171,6 +176,22 @@ class TestDcamParity:
         incremental, naive = both_engines(make_model, kwargs, feed)
         assert all(r.class_id == 1 for r in incremental)
         assert_emissions_match(incremental, naive)
+
+    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    def test_non_finite_push_is_rejected_and_consumes_nothing(self, engine):
+        feed = make_feed(40)
+        config = dict(hop=2, k=4, engine=engine)
+        clean = StreamSession(make_model(), StreamConfig(**config))
+        probed = StreamSession(make_model(), StreamConfig(**config))
+        expected = run_stream(clean, feed)
+        results = run_stream(probed, feed[:, :33])
+        for bad in (np.nan, np.inf):
+            block = feed[:, 33:36].copy()
+            block[2, 1] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                probed.push(block)
+        results += run_stream(probed, feed[:, 33:])
+        assert_emissions_match(results, expected, atol=0.0, rtol=0.0)
 
     def test_incremental_hops_actually_incremental(self):
         session = StreamSession(make_model(), StreamConfig(hop=2, k=4))
