@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 #: Default number of permuted series per forward pass.  Bounds the peak
-#: footprint of the trunk's feature maps (and, for dResNet/dInceptionTime, of
-#: the cubes), which grows linearly with the micro-batch size, while keeping
-#: the matrix multiplications large enough to amortise Python dispatch.
+#: footprint — for a dCNN one block's ``(batch, C·ℓ, D·n)`` im2col, ≈98 MB
+#: at D=40, n=100, 32 filters, ℓ=3 — which grows linearly with the batch,
+#: while keeping the GEMMs large enough to amortise Python dispatch.
 DEFAULT_BATCH_SIZE = 32
 
 #: Soft cap on the scratch memory of the vectorised ``M``-transform gather;
@@ -154,6 +154,13 @@ def _require_d_architecture(model: "ConvBackboneClassifier") -> None:
             f"dCAM requires a d-architecture (dCNN/dResNet/dInceptionTime); "
             f"got {type(model).__name__}"
         )
+
+
+def _require_dimensions(model, n_dimensions: int) -> None:
+    """Refuse series whose ``D`` is not the one ``model`` was built for."""
+    if n_dimensions != model.n_dimensions:
+        raise ValueError(f"series has {n_dimensions} dimensions but "
+                         f"{type(model).__name__} was built for D={model.n_dimensions}")
 
 
 def _stack_orders(permutations: Sequence[np.ndarray], n_dimensions: int) -> np.ndarray:
@@ -386,8 +393,8 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
     batch_size:
         Number of permuted series per forward pass.  Larger values amortise
         per-call overhead and enlarge the underlying matrix multiplications
-        (faster), but peak memory — the trunk's ``(batch, F, D, n)`` feature
-        maps, plus the ``(batch, D, D, n)`` cubes for dResNet and
+        (faster), but peak memory — a block's ``(batch, C·ℓ, D·n)`` im2col,
+        plus the ``(batch, D, D, n)`` cubes for dResNet and
         dInceptionTime — grows linearly with it.  The default of ``32`` is a
         good trade-off for the paper's scales; lower it for very long series
         or many dimensions, raise it for tiny problems.
@@ -400,6 +407,7 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
     if series.ndim != 2:
         raise ValueError(f"series must be (D, n), got shape {series.shape}")
     n_dimensions = series.shape[0]
+    _require_dimensions(model, n_dimensions)
     model.eval()
     if permutations is None:
         permutations = random_permutations(n_dimensions, k, rng)
@@ -444,6 +452,7 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
         raise ValueError(f"X must be (instances, D, n), got shape {X.shape}")
     _require_d_architecture(model)
     n_instances, n_dimensions, length = X.shape
+    _require_dimensions(model, n_dimensions)
     model.eval()
 
     if permutations is None:

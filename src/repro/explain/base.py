@@ -23,7 +23,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.dcam import DEFAULT_BATCH_SIZE
+from ..core.dcam import DEFAULT_BATCH_SIZE, _require_dimensions
 
 #: Default number of dCAM permutations when no knob is supplied (the
 #: evaluation protocols historically used 20; the paper uses 100).
@@ -130,6 +130,7 @@ class Explainer:
         series = np.asarray(series, dtype=self._input_dtype)
         if series.ndim != 2:
             raise ValueError(f"series must be (D, n), got shape {series.shape}")
+        _require_dimensions(self.model, series.shape[0])
         return series
 
     def _check_batch(self, X: np.ndarray,
@@ -137,6 +138,7 @@ class Explainer:
         X = np.asarray(X, dtype=self._input_dtype)
         if X.ndim != 3:
             raise ValueError(f"X must be (instances, D, n), got shape {X.shape}")
+        _require_dimensions(self.model, X.shape[1])
         class_ids = [int(c) for c in class_ids]
         if len(X) != len(class_ids):
             raise ValueError("X and class_ids must have the same length")

@@ -3,6 +3,9 @@
 The convolution implementations use an im2col / col2im strategy so that the
 heavy lifting is done by vectorised NumPy matrix multiplications, which keeps
 CPU-only training of the paper's architectures tractable.
+
+At inference every ``(1, ℓ)`` row block runs one stacked-GEMM kernel landing
+contiguous NCHW (:func:`fused_conv_bn_relu`); other convs run an ``einsum``.
 """
 
 from __future__ import annotations
@@ -179,8 +182,8 @@ def conv2d(
     )
     if not needs_grad:
         # Allocation-light inference path: contract the strided patch view
-        # directly (no im2col materialisation, no backward closure), landing
-        # the output contiguous in NCHW.
+        # directly (no im2col, no backward closure).  The result is a
+        # channels-last view transposed to NCHW, not contiguous NCHW.
         windows, _ = _conv_windows(x.data, (kh, kw), stride, padding)
         out = np.einsum("bcxyij,ocij->boxy", windows, weight.data,
                         optimize=_conv_einsum_path(windows, weight.data))
@@ -279,89 +282,79 @@ def conv1d_input_grad(
     return np.squeeze(grad4, axis=2)
 
 
-def fused_conv_bn_relu(x_data: np.ndarray, conv, bn,
-                       padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """Inference-only fusion of ``Conv2d -> BatchNorm(eval) -> ReLU``.
+def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]],
+                      rotate: bool) -> np.ndarray:
+    """The one inference kernel of every row block ``Conv2d -> BatchNorm -> ReLU``.
 
-    Folds the normalisation's per-channel scale into the conv kernels and its
-    shift into one bias, then applies ReLU in place — one contraction and two
-    cheap passes instead of five full-size passes and three graph nodes.
-    Numerically equivalent to the unfused layers up to a few ulps of
-    floating-point reassociation.
-
-    ``padding`` overrides the conv module's zero padding.  The streaming
-    engine (:mod:`repro.stream`) recomputes only the window columns a slide
-    dirtied: it hands this kernel a pre-assembled input slab (interior slice
-    plus explicit boundary zeros) with ``padding=(0, 0)`` so interior slices
-    are not spuriously re-padded, reusing the exact fused arithmetic of the
-    full-width path.
+    Folds the BatchNorm into a kernel bank and a shift, copies an as-strided
+    ``(B, C, ℓ, H, W)`` window view of the time-padded input into a
+    ``(B, C·ℓ, H·W)`` im2col of whole rows, and runs one stacked ``matmul``
+    that lands contiguous NCHW.  Every batch item's product has the same
+    shape, so its bits do not depend on the batch width.  With ``rotate``,
+    ``x`` is a ``(B, D, n)`` series and the bank is rotated over the ``C(T)``
+    cube's rows (:func:`cube_conv_bn_relu`).
     """
     kh, kw = conv.kernel_size
+    ph, pw = conv.padding if padding is None else padding
+    if kh != 1 or ph != 0 or tuple(conv.stride) != (1, 1):
+        raise ValueError("a fused conv block needs a (1, ℓ) stride-1 kernel "
+                         "with no height padding")
+    channels = x.shape[1]
+    if channels != conv.in_channels:
+        raise ValueError(f"input has {channels} channels but the conv expects "
+                         f"{conv.in_channels}")
     out_channels = conv.out_channels
     scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
     shift = bn.bias.data - bn.running_mean * scale
     if conv.bias is not None:
         shift = shift + conv.bias.data * scale
-    weight = conv.weight.data * scale[:, None, None, None]
-    if padding is None:
-        padding = conv.padding
-    windows, _ = _conv_windows(x_data, (kh, kw), conv.stride, padding)
-    out = np.einsum("bcxyij,ocij->boxy", windows, weight,
-                    optimize=_conv_einsum_path(windows, weight))
+    weight = conv.weight.data[:, :, 0, :] * scale[:, None, None]  # (O, C, ℓ)
+    if rotate:
+        # Bank row (o, r) = W[o, (s - r) mod D, j]: cube row r of the series.
+        positions = np.arange(channels)
+        weight = weight[:, (positions[None, :] - positions[:, None]) % channels]
+        x = x[:, :, None, :]
+    batch = x.shape[0]
+    windows, (height, out_w) = _conv_windows(x, (1, kw), (1, 1), (0, pw))
+    # (B, C, H, W, 1, ℓ) -> (B, C, ℓ, H, W): each copied run is a whole row.
+    cols = windows[..., 0, :].transpose(0, 1, 4, 2, 3).reshape(
+        batch, channels * kw, height * out_w)
+    out = np.matmul(weight.reshape(-1, channels * kw), cols)
+    out = out.reshape(batch, out_channels, channels if rotate else height, out_w)
     out += shift.reshape(1, out_channels, 1, 1)
     np.maximum(out, 0.0, out=out)
     return out
+
+
+def fused_conv_bn_relu(x_data: np.ndarray, conv, bn,
+                       padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    """Inference-only fusion of a :func:`~repro.nn.row_conv_block`.
+
+    The row kernel with the plain bank ``W.reshape(O, C·ℓ)``: agrees with the
+    unfused layers up to a few ulps of reassociation, and raises
+    ``ValueError`` for any other conv shape.  ``padding`` overrides the
+    conv's zero padding: the streaming engine (:mod:`repro.stream`) hands
+    it pre-assembled slabs of dirty columns with ``padding=(0, 0)``.
+    """
+    return _row_conv_bn_relu(x_data, conv, bn, padding, rotate=False)
 
 
 def cube_conv_bn_relu(series: np.ndarray, conv, bn,
                       padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """:func:`fused_conv_bn_relu` over the ``C(T)`` cube, read off the series.
 
-    Computes ``fused_conv_bn_relu(build_cube_batch(series), conv, bn,
-    padding)`` for a ``(batch, D, n)`` stack of (permuted) series and a
-    ``(1, ℓ)``, stride-1 ``conv`` with ``D`` input channels, without building
-    the cube.  Cube row ``r`` is the series rotated by ``r`` dimensions, so::
+    For a ``(batch, D, n)`` stack of (permuted) series and a row ``conv``
+    with ``D`` input channels, computes ``fused_conv_bn_relu(
+    build_cube_batch(series), conv, bn, padding)`` without the cube.  Cube
+    row ``r`` is the series rotated by ``r`` dimensions, so::
 
         out[o, r, t] = Σ_{s, j} W[o, (s - r) mod D, j] · S[s, t + j]
 
-    The BatchNorm-folded kernels are gathered once per call into a rotated
-    bank of shape ``(F·D, D·ℓ)``, the series into a ``(batch, D·ℓ, n)``
-    im2col (D× smaller than the cube's), and one stacked ``matmul`` lands
-    the result in NCHW ``(batch, F, D, n)``.  Every series gets an
-    identically shaped product, so a row's bits do not depend on the batch
-    width.  Agrees with the cube path to float round-off, not bitwise.
-    ``padding`` overrides the conv's time padding as in the fused kernel;
-    the height padding must be 0.
+    i.e. the row kernel with a rotated ``(F·D, D·ℓ)`` bank over a
+    ``(batch, D·ℓ, n)`` im2col, D× smaller than the cube's.  Agrees with the
+    cube path to float round-off, not bitwise.
     """
-    batch, n_dimensions, length = series.shape
-    kh, kw = conv.kernel_size
-    ph, pw = conv.padding if padding is None else padding
-    if kh != 1 or ph != 0 or tuple(conv.stride) != (1, 1):
-        raise ValueError("cube_conv_bn_relu needs a (1, ℓ) stride-1 kernel "
-                         "with no height padding")
-    out_channels = conv.out_channels
-    scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
-    shift = bn.bias.data - bn.running_mean * scale
-    if conv.bias is not None:
-        shift = shift + conv.bias.data * scale
-    weight = conv.weight.data[:, :, 0, :] * scale[:, None, None]  # (F, D, ℓ)
-    # rotation[r, s] = position of series dimension s within cube row r.
-    positions = np.arange(n_dimensions)
-    rotation = (positions[None, :] - positions[:, None]) % n_dimensions
-    bank = weight[:, rotation, :].reshape(out_channels * n_dimensions, n_dimensions * kw)
-    padded = np.zeros((batch, n_dimensions, length + 2 * pw), dtype=series.dtype)
-    padded[..., pw: pw + length] = series
-    out_w = length + 2 * pw - kw + 1
-    s0, s1, s2 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, shape=(batch, n_dimensions, kw, out_w), strides=(s0, s1, s2, s2),
-        writeable=False,
-    )
-    cols = windows.reshape(batch, n_dimensions * kw, out_w)
-    out = np.matmul(bank, cols).reshape(batch, out_channels, n_dimensions, out_w)
-    out += shift.reshape(1, out_channels, 1, 1)
-    np.maximum(out, 0.0, out=out)
-    return out
+    return _row_conv_bn_relu(series, conv, bn, padding, rotate=True)
 
 
 def conv1d(

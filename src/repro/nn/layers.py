@@ -394,21 +394,16 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         modules = self.children_list
         if not is_grad_enabled():
-            # Inference fast path: collapse Conv2d -> BatchNorm(eval) -> ReLU
-            # triplets into one fused kernel; anything else runs as usual.
+            # Inference fast path: one fused kernel per row_conv_block triplet
+            # with an eval BatchNorm; anything else runs its modules as usual.
             index, count = 0, len(modules)
             while index < count:
-                module = modules[index]
-                if (index + 2 < count
-                        and type(module) is Conv2d
-                        and isinstance(modules[index + 1], BatchNorm)
-                        and not modules[index + 1].training
-                        and type(modules[index + 2]) is ReLU):
-                    x = Tensor(F.fused_conv_bn_relu(x.data, module, modules[index + 1]),
-                               name="conv_bn_relu")
+                block = row_conv_block(modules[index: index + 3])
+                if block is not None and not block[1].training:
+                    x = Tensor(F.fused_conv_bn_relu(x.data, *block), name="conv_bn_relu")
                     index += 3
                     continue
-                x = module(x)
+                x = modules[index](x)
                 index += 1
             return x
         if _fused.is_fused_training():
@@ -433,17 +428,17 @@ class Sequential(Module):
         return x
 
 
-def row_conv_block(module: Module) -> Optional[Tuple[Conv2d, BatchNorm]]:
+def row_conv_block(module) -> Optional[Tuple[Conv2d, BatchNorm]]:
     """``(conv, bn)`` of a ``Sequential(Conv2d, BatchNorm, ReLU)`` row block.
 
     A row block's conv has a ``(1, ℓ)`` kernel, stride ``(1, 1)`` and no
-    height padding, so it never mixes the rows of its input.  That is what
-    lets a d-architecture's first block read the permuted series instead of
-    the ``C(T)`` cube (:func:`~repro.nn.functional.cube_conv_bn_relu`) and
-    the streaming trunk shift its maps column by column.  ``None`` for any
-    other module.
+    height padding, so it never mixes the rows of its input: the blocks
+    :func:`~repro.nn.functional.fused_conv_bn_relu` runs, a d-architecture's
+    layer 1 can read off the permuted series, and the streaming trunk can
+    shift column by column.  ``module`` may also be a list of three modules;
+    ``None`` for anything else.
     """
-    if not isinstance(module, Sequential) or len(module) != 3:
+    if not isinstance(module, (Sequential, list)) or len(module) != 3:
         return None
     conv, bn, relu = module[0], module[1], module[2]
     if type(conv) is not Conv2d or not isinstance(bn, BatchNorm) or type(relu) is not ReLU:

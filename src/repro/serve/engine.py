@@ -109,10 +109,10 @@ def serve_logits(model: BaseClassifier, X: np.ndarray) -> np.ndarray:
         model.eval()
         with inference_mode():
             features = model.features(model.prepare_input(X)).data
-        # ascontiguousarray: the mean's output layout varies with the conv
-        # output's (width-dependent) layout, and einsum's SIMD accumulation
-        # is stride-sensitive — canonicalising the strides keeps every row's
-        # bits independent of the batch width.
+        # ascontiguousarray: einsum's SIMD accumulation is stride-sensitive
+        # and ResNet/Inception features (the generic conv's channels-last
+        # view; row-block trunks land contiguous NCHW) change strides with
+        # the batch width, so canonicalising keeps rows width-invariant.
         pooled = np.ascontiguousarray(
             features.mean(axis=tuple(range(2, features.ndim)))  # (B, F)
         )

@@ -31,7 +31,7 @@ fed a pre-assembled slab (interior slice plus explicit boundary zeros) with
 rebuild (:meth:`IncrementalTrunk.reset`) issues the same full-width calls as
 the model's inference ``features``, so cold starts are bitwise-identical to
 the naive engine; shifted hops agree to float round-off (≤ 1e-10 at float64
-— einsum/BLAS accumulation is layout-sensitive, so per-column bits may
+— BLAS accumulation may depend on the GEMM's width, so per-column bits may
 differ across call widths).  Layer 1's per-hop cost stays proportional to
 the changed columns.
 
@@ -93,6 +93,7 @@ class _Block:
             weight=SimpleNamespace(data=conv.weight.data[:, :, None, :]),
             bias=conv.bias,
             kernel_size=(1, conv.kernel_size),
+            in_channels=conv.in_channels,
             out_channels=conv.out_channels,
             stride=(1, 1),
             padding=(0, conv.padding),

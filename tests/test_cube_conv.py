@@ -10,8 +10,9 @@ and dResNet / dInceptionTime still run the cube path bit for bit.
 import numpy as np
 import pytest
 
-from repro.core.dcam import _assemble_result, compute_dcam
+from repro.core.dcam import _assemble_result, compute_dcam, compute_dcam_batch
 from repro.core.input_transform import build_cube_batch, random_permutations
+from repro.explain import DCAMExplainer
 from repro.models import (
     CCNNClassifier,
     DCNNClassifier,
@@ -72,6 +73,30 @@ def test_rejects_kernels_that_mix_rows():
     conv, bn = make_block(4, 3)
     with pytest.raises(ValueError, match=r"\(1, ℓ\)"):
         cube_conv_bn_relu(np.zeros((1, 4, LENGTH)), conv, bn, padding=(1, 1))
+
+
+@pytest.mark.parametrize("n_dimensions", [4, 8])
+def test_rejects_a_series_of_another_dimension_count(n_dimensions):
+    conv, bn = make_block(6, 3)
+    with pytest.raises(ValueError, match=f"{n_dimensions} channels but the conv expects 6"):
+        cube_conv_bn_relu(np.zeros((1, n_dimensions, LENGTH)), conv, bn)
+
+
+@pytest.mark.parametrize("n_dimensions", [4, 8])
+def test_dcam_entry_points_reject_a_series_of_another_dimension_count(n_dimensions):
+    model = DCNNClassifier(6, LENGTH, 2, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+    series = np.random.default_rng(1).standard_normal((n_dimensions, LENGTH))
+    message = f"series has {n_dimensions} dimensions but DCNNClassifier was built for D=6"
+    explainer = DCAMExplainer(model, k=4, rng=np.random.default_rng(2))
+    calls = [
+        lambda: compute_dcam(model, series, 1, k=4),
+        lambda: compute_dcam_batch(model, series[None], [1], k=4),
+        lambda: explainer.explain(series, 1),
+        lambda: explainer.explain_batch(series[None], [1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSeriesBlock:
@@ -166,4 +191,6 @@ def test_dcnn_dcam_matches_the_cube_path():
 def test_serving_parity_probe_keeps_coalescing(n_dimensions):
     model = DCNNClassifier(n_dimensions, LENGTH, 2, filters=(4, 8),
                            rng=np.random.default_rng(7)).eval()
-    assert probe_batch_parity(model).explain is True
+    report = probe_batch_parity(model)
+    assert report.classify is True
+    assert report.explain is True
