@@ -20,10 +20,11 @@ Execution strategy
 ------------------
 Explanation only needs activations, never gradients, so the hot path runs the
 ``k`` permuted series through the model in micro-batches under
-:func:`repro.nn.inference_mode`: no autograd graph is recorded and the
-per-permutation ``M`` transformations are materialised by one fancy-indexed
-gather over the stacked ``(k, D, n)`` CAM array instead of a Python loop of
-``(D, D, n)`` temporaries.
+:func:`repro.nn.inference_mode`: no autograd graph is recorded.  Both steps
+move more memory than they compute, so both keep their working set
+cache-sized: a micro-batch is as wide as fits a fixed byte budget
+(:func:`_forward_width`), and ``M̄`` is accumulated one permutation's
+``(D, D, n)`` ``M`` transform at a time.
 
 No ``C(T)`` cube is built for the dCNN.  Cube row ``r`` is the permuted series
 rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
@@ -42,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, inference_mode
+from ..nn import Conv2d, Tensor, inference_mode
 from .input_transform import inverse_order, random_permutations
 
 __all__ = [
@@ -55,15 +56,15 @@ __all__ = [
     "explanation_quality_proxy",
 ]
 
-#: Default number of permuted series per forward pass.  Bounds the peak
-#: footprint — for a dCNN one block's ``(batch, C·ℓ, D·n)`` im2col, ≈98 MB
-#: at D=40, n=100, 32 filters, ℓ=3 — which grows linearly with the batch,
-#: while keeping the GEMMs large enough to amortise Python dispatch.
+#: Default cap on the permuted series per forward pass.  The width run fits
+#: :data:`_FORWARD_BYTES` (:func:`_forward_width`) — 2 at D=40, n=100, 32
+#: filters, ℓ=3 — so the cap binds at small scales, where it keeps the GEMMs
+#: large enough to amortise Python dispatch.
 DEFAULT_BATCH_SIZE = 32
 
-#: Soft cap on the scratch memory of the vectorised ``M``-transform gather;
-#: above it the gather falls back to chunking over permutations.
-_MERGE_SCRATCH_BYTES = 128 * 1024 * 1024
+#: Working-set budget of a forward micro-batch's widest im2col, about twice
+#: a per-core L2; wider spills to memory (width sweep in docs/benchmarks.md).
+_FORWARD_BYTES = 8 * 1024 * 1024
 
 #: Soft cap on the permuted-series + CAM arrays materialised at once by
 #: :func:`compute_dcam_batch`; above it instances are processed in groups
@@ -163,6 +164,30 @@ def _require_dimensions(model, n_dimensions: int) -> None:
                          f"{type(model).__name__} was built for D={model.n_dimensions}")
 
 
+def _require_class(model, class_id: int) -> None:
+    """Refuse a ``class_id`` outside ``range(n_classes)`` (``-1`` would wrap)."""
+    if not 0 <= class_id < model.n_classes:
+        raise ValueError(f"class_id {class_id} out of range for "
+                         f"{type(model).__name__} with {model.n_classes} classes")
+
+
+def _forward_width(model, n_dimensions: int, length: int, batch_size: int) -> int:
+    """Permuted series per forward pass, from 1 up to ``batch_size``.
+
+    As many as fit :data:`_FORWARD_BYTES` with their widest im2col: ``C·ℓ``
+    rows over the cube's ``D·n`` columns, or ``D·ℓ`` rows over ``n`` for a
+    dCNN's cube-free layer 1.
+    """
+    with inference_mode():
+        block = model.series_block()
+    first = None if block is None else block[0]
+    widest = max((module.in_channels * module.kernel_size[-1]
+                  * (length if module is first else n_dimensions * length)
+                  for module in model.modules() if isinstance(module, Conv2d)), default=1)
+    per_item = np.dtype(model.compute_dtype).itemsize * widest
+    return min(max(1, int(batch_size)), max(1, _FORWARD_BYTES // per_item))
+
+
 def _stack_orders(permutations: Sequence[np.ndarray], n_dimensions: int) -> np.ndarray:
     """Validate and stack permutations into a ``(k, D)`` integer array."""
     try:
@@ -200,7 +225,7 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
         Per-row dense-layer weight vectors ``w^{C}`` of shape ``(N, F)`` —
         rows may differ when explaining several instances/classes at once.
     batch_size:
-        Number of permuted series per forward pass (peak-memory knob).
+        Cap on the permuted series per forward pass (see :func:`_forward_width`).
 
     Returns
     -------
@@ -212,7 +237,7 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
     n_total, n_dimensions, length = permuted.shape
     cams = np.empty((n_total, n_dimensions, length))
     predicted = np.empty(n_total, dtype=np.int64)
-    batch_size = max(1, int(batch_size))
+    batch_size = _forward_width(model, n_dimensions, length, batch_size)
     with inference_mode():
         # A dCNN's layer 1 reads the permuted series directly; the other
         # d-architectures get the C(T) cube.
@@ -267,23 +292,15 @@ def permutation_rows(orders: np.ndarray) -> np.ndarray:
 def _merge_cam_stack(cams: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Average the ``M`` transformations of stacked permutation CAMs.
 
-    ``cams`` has shape ``(k, D, n)`` and ``orders`` shape ``(k, D)``.  The
-    ``M`` transforms of all permutations are materialised by a single
-    fancy-indexed gather ``cams[perm, row]`` (chunked over ``k`` when the
-    ``(k, D, D, n)`` scratch array would exceed the soft memory cap).
+    ``cams`` has shape ``(k, D, n)`` and ``orders`` shape ``(k, D)``.  Each
+    permutation's ``(D, D, n)`` ``M`` transform is added in turn: the order of
+    ``.sum(axis=0)`` over the full ``(k, D, D, n)`` gather, never built.
     """
-    k, n_dimensions, length = cams.shape
     rows = permutation_rows(orders)  # (k, D, D)
-    bytes_per_perm = n_dimensions * n_dimensions * length * cams.itemsize
-    chunk = max(1, _MERGE_SCRATCH_BYTES // max(1, bytes_per_perm))
-    if chunk >= k:
-        return cams[np.arange(k)[:, None, None], rows].sum(axis=0) / k
-    total = np.zeros((n_dimensions, n_dimensions, length), dtype=cams.dtype)
-    for start in range(0, k, chunk):
-        stop = min(start + chunk, k)
-        index = np.arange(start, stop)[:, None, None]
-        total += cams[index, rows[start:stop]].sum(axis=0)
-    return total / k
+    total = cams[0][rows[0]]
+    for permutation in range(1, len(cams)):
+        total += cams[permutation][rows[permutation]]
+    return total / len(cams)
 
 
 def merge_permutation_cams(cams_and_orders: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -391,16 +408,11 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         If True, only permutations classified as ``class_id`` contribute to
         ``M̄`` (falling back to all permutations when none is correct).
     batch_size:
-        Number of permuted series per forward pass.  Larger values amortise
-        per-call overhead and enlarge the underlying matrix multiplications
-        (faster), but peak memory — a block's ``(batch, C·ℓ, D·n)`` im2col,
-        plus the ``(batch, D, D, n)`` cubes for dResNet and
-        dInceptionTime — grows linearly with it.  The default of ``32`` is a
-        good trade-off for the paper's scales; lower it for very long series
-        or many dimensions, raise it for tiny problems.
-        Results agree across ``batch_size`` values (and with the legacy
-        per-permutation path) to within a few ulps of floating-point
-        round-off — well under 1e-10 — not necessarily bit-for-bit.
+        Cap on the permuted series per forward pass.  The width run is the
+        widest, up to the cap, whose largest im2col fits an 8 MiB budget
+        (:func:`_forward_width`), so peak memory is bounded by the budget,
+        not the cap.  Results agree across values (and with the legacy path)
+        to float round-off (≤ 1e-10), not necessarily bit-for-bit.
     """
     _require_d_architecture(model)
     series = np.asarray(series, dtype=np.float64)
@@ -408,6 +420,7 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         raise ValueError(f"series must be (D, n), got shape {series.shape}")
     n_dimensions = series.shape[0]
     _require_dimensions(model, n_dimensions)
+    _require_class(model, class_id)
     model.eval()
     if permutations is None:
         permutations = random_permutations(n_dimensions, k, rng)
@@ -453,6 +466,9 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
     _require_d_architecture(model)
     n_instances, n_dimensions, length = X.shape
     _require_dimensions(model, n_dimensions)
+    class_ids = [int(c) for c in class_ids]
+    for class_id in class_ids:
+        _require_class(model, class_id)
     model.eval()
 
     if permutations is None:
@@ -472,7 +488,6 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
         per_instance_orders = [
             _stack_orders(orders, n_dimensions) for orders in permutations
         ]
-    class_ids = [int(c) for c in class_ids]
     counts = [len(orders) for orders in per_instance_orders]
 
     group = _materialize_group(max(counts, default=0), n_dimensions, length)

@@ -29,8 +29,8 @@ class ExperimentScale:
     n_runs: int = 1
     #: Number of random permutations for dCAM (the paper uses 100).
     k_permutations: int = 20
-    #: Permuted series per forward pass in the batched dCAM pipeline.  A
-    #: speed / peak-memory trade-off; results agree across values to float
+    #: Cap on the permuted series per dCAM forward pass, narrowed to an 8 MiB
+    #: working-set budget at large D·n.  Results agree across values to float
     #: round-off (≤ 1e-10).
     dcam_batch_size: int = DEFAULT_BATCH_SIZE
     #: Number of test instances explained when measuring Dr-acc (paper: 50).

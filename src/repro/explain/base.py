@@ -23,7 +23,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.dcam import DEFAULT_BATCH_SIZE, _require_dimensions
+from ..core.dcam import DEFAULT_BATCH_SIZE, _require_class, _require_dimensions
 
 #: Default number of dCAM permutations when no knob is supplied (the
 #: evaluation protocols historically used 20; the paper uses 100).
@@ -66,8 +66,8 @@ class Explainer:
         Number of random permutations (only consumed by the dCAM family).
     batch_size:
         Micro-batch width of the batched engines: inputs per forward pass for
-        CAM/grad-CAM, permuted series per forward pass for dCAM.  A speed /
-        peak-memory trade-off that never changes results beyond float
+        CAM/grad-CAM, a cap on permuted series per forward pass for dCAM.  A
+        speed / peak-memory trade-off that never changes results beyond float
         round-off.
     rng:
         Random generator (only consumed by the dCAM family's permutation
@@ -126,11 +126,12 @@ class Explainer:
         """Dtype raw series are cast to — the model's compute dtype."""
         return getattr(self.model, "compute_dtype", np.dtype(np.float64))
 
-    def _check_series(self, series: np.ndarray) -> np.ndarray:
+    def _check_series(self, series: np.ndarray, class_id: int) -> np.ndarray:
         series = np.asarray(series, dtype=self._input_dtype)
         if series.ndim != 2:
             raise ValueError(f"series must be (D, n), got shape {series.shape}")
         _require_dimensions(self.model, series.shape[0])
+        _require_class(self.model, int(class_id))
         return series
 
     def _check_batch(self, X: np.ndarray,
@@ -142,4 +143,6 @@ class Explainer:
         class_ids = [int(c) for c in class_ids]
         if len(X) != len(class_ids):
             raise ValueError("X and class_ids must have the same length")
+        for class_id in class_ids:
+            _require_class(self.model, class_id)
         return X, class_ids

@@ -40,7 +40,7 @@ class CAMExplainer(Explainer):
         return cam
 
     def explain(self, series: np.ndarray, class_id: int) -> Explanation:
-        series = self._check_series(series)
+        series = self._check_series(series, class_id)
         cam = class_activation_map(self.model, series, int(class_id))
         return Explanation(heatmap=self._as_heatmap(cam, series.shape[0]),
                            class_id=int(class_id))

@@ -30,6 +30,7 @@ import numpy as np
 from ..core.dcam import (
     DCAMResult,
     _assemble_result,
+    _forward_width,
     _materialize_group,
     _permutation_cams_batched,
     _stack_orders,
@@ -151,12 +152,12 @@ class DCAMExplainer(Explainer):
         if missing:
             # Honour compute_dcam_batch's materialisation cap, one missing
             # permutation per item.  Chunk boundaries are kept at multiples of
-            # the micro-batch width, so the forward-pass partition (and
-            # therefore every bit of the result) is identical to one
-            # unchunked call.
+            # the forward width, so the forward-pass partition (and therefore
+            # every bit of the result) is identical to one unchunked call.
             _, n_dimensions, length = X.shape
+            width = _forward_width(self.model, n_dimensions, length, self.batch_size)
             chunk = _materialize_group(1, n_dimensions, length)
-            chunk = max(self.batch_size, chunk - chunk % self.batch_size)
+            chunk = max(width, chunk - chunk % width)
             for chunk_start in range(0, len(missing), chunk):
                 chunk_missing = missing[chunk_start : chunk_start + chunk]
                 instance_index = np.array([index for index, _ in chunk_missing])
@@ -211,7 +212,7 @@ class DCAMExplainer(Explainer):
     # ------------------------------------------------------------------
     def explain(self, series: np.ndarray, class_id: int,
                 permutations: Optional[Sequence[np.ndarray]] = None) -> Explanation:
-        series = self._check_series(series)
+        series = self._check_series(series, class_id)
         if self.cache is not None:
             orders = self._draw_orders(1, series.shape[0],
                                        None if permutations is None else [permutations])

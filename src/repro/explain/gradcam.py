@@ -38,7 +38,7 @@ class GradCAMExplainer(Explainer):
                 )
 
     def explain(self, series: np.ndarray, class_id: int) -> Explanation:
-        series = self._check_series(series)
+        series = self._check_series(series, class_id)
         return self.explain_batch(series[None], [int(class_id)])[0]
 
     def explain_batch(self, X: np.ndarray,

@@ -93,9 +93,9 @@ class ServeConfig:
     #: Seconds :meth:`ExplanationService.close` waits for queued requests to
     #: drain before failing the remainder fast; ``None`` waits indefinitely.
     drain_timeout_s: Optional[float] = 30.0
-    #: Micro-batch width of the underlying engines (permuted series per
-    #: forward for dCAM); a speed / peak-memory knob that never changes
-    #: response bytes.
+    #: Micro-batch width of the underlying engines; for dCAM a cap, narrowed
+    #: to an 8 MiB working-set budget at large D·n.  A speed knob that never
+    #: changes response bytes.
     engine_batch_size: int = 32
     #: Default permutation count for dCAM explains that do not send ``k``.
     default_k: int = DEFAULT_K

@@ -54,9 +54,9 @@ class StreamConfig:
     #: Class to explain.  ``None`` explains each window's predicted class
     #: (re-deriving it per window as the stream drifts).
     explain_class: Optional[int] = None
-    #: Micro-batch width of the naive engine's dCAM forward passes — the
-    #: peak-memory knob of :func:`repro.core.compute_dcam`.  The incremental
-    #: engine keeps all ``k`` permutations resident and ignores it.
+    #: Cap on the naive engine's dCAM forward width (``batch_size`` of
+    #: :func:`repro.core.compute_dcam`).  The incremental engine keeps all
+    #: ``k`` permutations resident and ignores it.
     batch_size: int = 32
     #: Policy when the incremental engine cannot handle the architecture
     #: (only the CNN family's stride-1 Conv→BN→ReLU trunks qualify):

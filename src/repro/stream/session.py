@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.dcam import _stack_orders, compute_dcam, extract_dcam, permutation_rows
+from ..core.dcam import _require_class, _stack_orders, compute_dcam, extract_dcam, permutation_rows
 from ..core.input_transform import build_cube_batch, random_permutations, roll_cube_batch
 from ..nn import inference_mode
 from ..obs.tracing import span
@@ -233,6 +233,8 @@ class StreamSession:
                     f"{type(model).__name__} declares {family!r} — use "
                     f"StreamConfig(explain='none') to classify only"
                 )
+            if self.config.explain_class is not None:
+                _require_class(model, int(self.config.explain_class))
         model.eval()
         self.model = model
         self.family = family
@@ -505,8 +507,8 @@ class StreamSession:
         the class holds, only the dirty columns ``[0, a) ∪ [b, W)`` are
         re-gathered.  ``slide`` is the trunk's actual shift this emission
         (the accumulated gap after cache hits, not necessarily
-        ``config.hop``).  The ``(k, D, D, dirty)`` merge scratch is small at
-        streaming scale, so no chunking (cf. ``_merge_cam_stack``).
+        ``config.hop``).  The ``(k, D, D, dirty)`` merge is one gather, small
+        at streaming scale (``_merge_cam_stack`` sums full windows per permutation).
         """
         k, n_dimensions = self._orders.shape
         width = self.window

@@ -9,7 +9,12 @@ and batch vs per-instance evaluation must produce identical Dr-acc.
 import numpy as np
 import pytest
 
-from repro.core import cam_as_multivariate, class_activation_map, compute_dcam
+from repro.core import (
+    cam_as_multivariate,
+    class_activation_map,
+    compute_dcam,
+    compute_dcam_batch,
+)
 from repro.core.gradcam import mtex_explanation
 from repro.eval.protocol import evaluate_explanation, explanation_for
 from repro.explain import (
@@ -32,6 +37,7 @@ from repro.models import (
     create_model,
 )
 from repro.models.recurrent import GRUClassifier
+from repro.serve import ExplanationCache
 from repro.models.registry import (
     explainer_family_of_model,
     models_with_explainer_family,
@@ -239,6 +245,33 @@ class TestExplanationValidation:
             explainer.explain_batch(tiny_type1_dataset.X[:3], [1, 1])
         with pytest.raises(ValueError):
             explainer.explain(np.zeros(16), 0)
+
+    @pytest.mark.parametrize("class_id", [-1, 3])
+    def test_out_of_range_class_raises_through_every_entry_point(self, class_id):
+        rng = np.random.default_rng(0)
+        models = {
+            "dcnn": DCNNClassifier(4, 16, 3, filters=(4,), rng=rng).eval(),
+            "ccnn": CCNNClassifier(4, 16, 3, filters=(4,), rng=rng).eval(),
+            "mtex": MTEXCNNClassifier(4, 16, 3, block1_filters=(2, 4), block2_filters=4,
+                                      hidden_units=8, rng=rng).eval(),
+        }
+        series = rng.standard_normal((4, 16))
+        dcnn = models["dcnn"]
+        calls = [
+            lambda: compute_dcam(dcnn, series, class_id, k=4),
+            lambda: compute_dcam_batch(dcnn, series[None], [class_id], k=4),
+            lambda: DCAMExplainer(dcnn, k=4, cache=ExplanationCache()).explain(series,
+                                                                                 class_id),
+        ]
+        for model in models.values():
+            explainer = get_explainer(model, k=4)
+            calls += [lambda e=explainer: e.explain(series, class_id),
+                      lambda e=explainer: e.explain_batch(np.stack([series, series]),
+                                                          [0, class_id])]
+        message = f"class_id {class_id} out of range for .* with 3 classes"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_explanation_dataclass_defaults(self):
         explanation = Explanation(heatmap=np.zeros((2, 4)), class_id=1)

@@ -358,6 +358,23 @@ class TestConfigAndModes:
         with pytest.raises(ValueError, match="length"):
             StreamSession(make_model(), StreamConfig(window=64))
 
+    @pytest.mark.parametrize("cls", [DCNNClassifier, CCNNClassifier])
+    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    def test_out_of_range_explain_class_rejected_at_construction(self, cls, engine):
+        # -1 used to wrap to the last class (incremental, CAM) or fail inside
+        # push() after the samples were taken (naive dCAM).
+        for bad in (-1, CLASSES):
+            with pytest.raises(ValueError, match="out of range"):
+                StreamSession(make_model(cls), StreamConfig(engine=engine, explain_class=bad))
+
+    def test_set_model_checks_explain_class(self):
+        session = StreamSession(make_model(), StreamConfig(hop=4, k=4, explain_class=2))
+        two_classes = DCNNClassifier(D, 32, 2, filters=(4, 8), rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="out of range"):
+            session.set_model(two_classes)
+        results = run_stream(session, make_feed(40))
+        assert results and all(r.class_id == 2 for r in results)
+
     def test_explain_none_classifies_any_model(self):
         gru = GRUClassifier(D, 32, CLASSES, rng=np.random.default_rng(0))
         session = StreamSession(gru, StreamConfig(explain="none", hop=8))
