@@ -261,6 +261,26 @@ class BaseClassifier(Module):
             if was_training:
                 self.train()
 
+    def _check_training_data(self, X: np.ndarray, y: np.ndarray, name: str) -> None:
+        """Raise ``ValueError`` unless ``(X, y)`` is a non-empty, aligned, finite labelled set.
+
+        Neither engine checks: they index the loss with ``y`` (so ``-1``
+        wraps to the last class), pair labels with rows by position, and
+        return a ``[nan]`` history for an empty set.
+        """
+        X, y = np.asarray(X), np.asarray(y)
+        if len(X) == 0:
+            raise ValueError(f"{name} has no instances")
+        if y.ndim != 1 or len(y) != len(X):
+            raise ValueError(f"{name} has {len(X)} instances but labels of shape {y.shape}")
+        if not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"{name} labels must be integers, got dtype {y.dtype}")
+        outside = y[(y < 0) | (y >= self.n_classes)]
+        if len(outside):
+            raise ValueError(f"{name} has label {outside[0]} outside [0, {self.n_classes})")
+        if not np.isfinite(X).all():
+            raise ValueError(f"{name} has a non-finite value in X")
+
     def fit(self, X: np.ndarray, y: np.ndarray,
             validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
             config: Optional[TrainingConfig] = None) -> TrainingHistory:
@@ -281,8 +301,15 @@ class BaseClassifier(Module):
             Optional ``(X_val, y_val)`` pair used for early stopping.
         config:
             Training hyper-parameters; see :class:`TrainingConfig`.
+
+        Raises ``ValueError`` when either set is empty, its labels are not
+        integers in ``[0, n_classes)`` aligned with ``X``, or ``X`` holds a
+        non-finite value.
         """
         config = config or TrainingConfig()
+        self._check_training_data(X, y, "training set")
+        if validation_data is not None:
+            self._check_training_data(*validation_data, "validation_data")
         if config.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {config.precision!r}; "
                              "expected 'float64' or 'float32'")

@@ -2,7 +2,11 @@
 
 The convolution implementations use an im2col / col2im strategy so that the
 heavy lifting is done by vectorised NumPy matrix multiplications, which keeps
-CPU-only training of the paper's architectures tractable.
+CPU-only training of the paper's architectures tractable.  One row-layout
+:func:`_im2col` ``(B, C·kh·kw, out_h·out_w)`` serves both the training conv
+and the inference row kernel: ``W.reshape(O, -1) @ cols`` lands contiguous
+NCHW, so the BatchNorm, ReLU and residual nodes that follow a training conv
+(and their gradients) run on contiguous memory.
 
 At inference every ``(1, ℓ)`` row block runs one stacked-GEMM kernel landing
 contiguous NCHW (:func:`fused_conv_bn_relu`); other convs run an ``einsum``.
@@ -61,7 +65,7 @@ def _im2col(
     padding: Tuple[int, int],
     workspace=None,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Rearrange image patches into columns.
+    """Rearrange image patches into a row-layout column matrix.
 
     Parameters
     ----------
@@ -77,23 +81,21 @@ def _im2col(
     Returns
     -------
     cols:
-        Array of shape ``(batch, out_h, out_w, channels * kh * kw)``.
+        Contiguous array of shape ``(batch, channels * kh * kw, out_h * out_w)``:
+        each copied run is a whole output row, and ``W.reshape(O, -1) @ cols``
+        lands contiguous NCHW.
     out_shape:
         The spatial output shape ``(out_h, out_w)``.
     """
     batch, channels = x.shape[0], x.shape[1]
     kh, kw = kernel
     windows, (out_h, out_w) = _conv_windows(x, kernel, stride, padding)
-    # (batch, out_h, out_w, channels, kh, kw) -> columns
-    if workspace is not None:
-        cols = workspace.acquire((batch, out_h, out_w, channels * kh * kw), x.dtype)
-        np.copyto(cols.reshape(batch, out_h, out_w, channels, kh, kw),
-                  windows.transpose(0, 2, 3, 1, 4, 5))
-        return cols, (out_h, out_w)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, out_h, out_w, channels * kh * kw
-    )
-    return np.ascontiguousarray(cols), (out_h, out_w)
+    shape = (batch, channels * kh * kw, out_h * out_w)
+    cols = np.empty(shape, x.dtype) if workspace is None else workspace.acquire(shape, x.dtype)
+    # (batch, channels, out_h, out_w, kh, kw) -> (batch, channels, kh, kw, out_h, out_w)
+    np.copyto(cols.reshape(batch, channels, kh, kw, out_h, out_w),
+              windows.transpose(0, 1, 4, 5, 2, 3))
+    return cols, (out_h, out_w)
 
 
 def _col2im(
@@ -104,7 +106,12 @@ def _col2im(
     padding: Tuple[int, int],
     workspace=None,
 ) -> np.ndarray:
-    """Scatter column gradients back to image gradients (inverse of im2col)."""
+    """Scatter column gradients back to image gradients (inverse of im2col).
+
+    ``cols`` has the :func:`_im2col` layout ``(batch, channels * kh * kw,
+    out_h * out_w)`` (or ``(..., out_h, out_w)``, any strides); the ``(i, j)``
+    kernel taps are added in row-major order.
+    """
     batch, channels, height, width = input_shape
     kh, kw = kernel
     sh, sw = stride
@@ -118,15 +125,12 @@ def _col2im(
         grad_padded.fill(0)
     else:
         grad_padded = np.zeros((batch, channels, padded_h, padded_w), dtype=cols.dtype)
-    # cols: (batch, out_h, out_w, channels * kh * kw)
-    cols = cols.reshape(batch, out_h, out_w, channels, kh, kw)
+    cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
     for i in range(kh):
         row_end = i + sh * out_h
         for j in range(kw):
             col_end = j + sw * out_w
-            grad_padded[:, :, i:row_end:sh, j:col_end:sw] += cols[
-                :, :, :, :, i, j
-            ].transpose(0, 3, 1, 2)
+            grad_padded[:, :, i:row_end:sh, j:col_end:sw] += cols[:, :, i, j]
     if ph or pw:
         return grad_padded[:, :, ph : ph + height, pw : pw + width]
     return grad_padded
@@ -205,37 +209,37 @@ def _conv2d_train(x_data: np.ndarray, weight_data: np.ndarray,
     """Training-path conv2d on plain arrays: forward value + backward closure.
 
     Shared by :func:`conv2d` and the fused-training :func:`conv1d` node.  The
+    forward is ``W.reshape(O, -1) @ cols`` over the row-layout :func:`_im2col`,
+    so the output lands contiguous NCHW and the BatchNorm, ReLU and residual
+    nodes downstream (and their gradients) reduce contiguous memory.  The
     input gradient (a full matmul plus a col2im scatter) is skipped when the
     input does not require it — the first layer of every architecture — which
     is invisible to the autograd walk (``None`` parent gradients are dropped).
     Scratch buffers come from the active fused-training workspace, if any.
     """
-    out_channels, in_channels, kh, kw = weight_shape
+    out_channels, _, kh, kw = weight_shape
     batch = x_data.shape[0]
     workspace = _fused.active_workspace() if _fused.is_fused_training() else None
     cols, (out_h, out_w) = _im2col(x_data, (kh, kw), stride, padding, workspace)
     weight_2d = weight_data.reshape(out_channels, -1)
-    cols_2d = cols.reshape(-1, in_channels * kh * kw)
-    out = cols_2d @ weight_2d.T
-    out = out.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+    out = np.matmul(weight_2d, cols)  # (batch, out_channels, out_h * out_w)
     if bias_data is not None:
-        out = out + bias_data.reshape(1, out_channels, 1, 1)
+        out += bias_data.reshape(1, out_channels, 1)
+    out = out.reshape(batch, out_channels, out_h, out_w)
     input_shape = x_data.shape
 
     def backward(grad: np.ndarray):
         # grad: (batch, out_channels, out_h, out_w)
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
-        grad_weight = (grad_flat.T @ cols_2d).reshape(weight_shape)
+        g = grad.reshape(batch, out_channels, -1)
+        grad_weight = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight_shape)
         if need_input_grad:
-            grad_cols = (grad_flat @ weight_2d).reshape(batch, out_h, out_w, -1)
-            grad_input = _col2im(grad_cols, input_shape, (kh, kw), stride,
-                                 padding, workspace)
+            grad_input = _col2im(np.matmul(weight_2d.T, g), input_shape, (kh, kw),
+                                 stride, padding, workspace)
         else:
             grad_input = None
         if bias_data is None:
             return (grad_input, grad_weight)
-        grad_bias = grad.sum(axis=(0, 2, 3))
-        return (grad_input, grad_weight, grad_bias)
+        return (grad_input, grad_weight, g.sum(axis=(0, 2)))
 
     return out, backward
 
@@ -260,7 +264,8 @@ def conv2d_input_grad(
     out_channels = weight.shape[0]
     weight_2d = np.ascontiguousarray(weight.reshape(out_channels, -1))
     grad_cols = np.einsum("bohw,oc->bhwc", grad_output, weight_2d)
-    return _col2im(grad_cols, input_shape, weight.shape[2:], stride, padding)
+    return _col2im(grad_cols.transpose(0, 3, 1, 2), input_shape, weight.shape[2:],
+                   stride, padding)
 
 
 def conv1d_input_grad(
@@ -286,13 +291,12 @@ def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]
                       rotate: bool) -> np.ndarray:
     """The one inference kernel of every row block ``Conv2d -> BatchNorm -> ReLU``.
 
-    Folds the BatchNorm into a kernel bank and a shift, copies an as-strided
-    ``(B, C, ℓ, H, W)`` window view of the time-padded input into a
-    ``(B, C·ℓ, H·W)`` im2col of whole rows, and runs one stacked ``matmul``
-    that lands contiguous NCHW.  Every batch item's product has the same
-    shape, so its bits do not depend on the batch width.  With ``rotate``,
-    ``x`` is a ``(B, D, n)`` series and the bank is rotated over the ``C(T)``
-    cube's rows (:func:`cube_conv_bn_relu`).
+    Folds the BatchNorm into a kernel bank and a shift, builds the
+    ``(B, C·ℓ, H·W)`` row-layout :func:`_im2col` of the time-padded input,
+    and runs one stacked ``matmul`` that lands contiguous NCHW.  Every batch
+    item's product has the same shape, so its bits do not depend on the batch
+    width.  With ``rotate``, ``x`` is a ``(B, D, n)`` series and the bank is
+    rotated over the ``C(T)`` cube's rows (:func:`cube_conv_bn_relu`).
     """
     kh, kw = conv.kernel_size
     ph, pw = conv.padding if padding is None else padding
@@ -314,13 +318,9 @@ def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]
         positions = np.arange(channels)
         weight = weight[:, (positions[None, :] - positions[:, None]) % channels]
         x = x[:, :, None, :]
-    batch = x.shape[0]
-    windows, (height, out_w) = _conv_windows(x, (1, kw), (1, 1), (0, pw))
-    # (B, C, H, W, 1, ℓ) -> (B, C, ℓ, H, W): each copied run is a whole row.
-    cols = windows[..., 0, :].transpose(0, 1, 4, 2, 3).reshape(
-        batch, channels * kw, height * out_w)
+    cols, (height, out_w) = _im2col(x, (1, kw), (1, 1), (0, pw))
     out = np.matmul(weight.reshape(-1, channels * kw), cols)
-    out = out.reshape(batch, out_channels, channels if rotate else height, out_w)
+    out = out.reshape(x.shape[0], out_channels, channels if rotate else height, out_w)
     out += shift.reshape(1, out_channels, 1, 1)
     np.maximum(out, 0.0, out=out)
     return out

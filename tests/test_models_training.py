@@ -81,6 +81,49 @@ class TestFit:
         np.testing.assert_allclose(loss_a, loss_b)
 
 
+def _with_nan(X):
+    X = X.copy()
+    X[3, 1, 7] = np.nan
+    return X
+
+
+#: (case, X transform, y transform, message) of invalid labelled sets.
+_INVALID_SETS = [
+    ("y_longer_than_X", lambda X: X, lambda y: np.concatenate([y, y[:2]]), "labels of shape"),
+    ("label_minus_one", lambda X: X, lambda y: np.where(np.arange(len(y)) == 5, -1, y),
+     r"label -1 outside \[0, 2\)"),
+    ("label_n_classes", lambda X: X, lambda y: np.where(np.arange(len(y)) == 5, 2, y),
+     r"label 2 outside \[0, 2\)"),
+    ("float_labels", lambda X: X, lambda y: y + 0.5, "must be integers"),
+    ("empty", lambda X: X[:0], lambda y: y[:0], "has no instances"),
+    ("nan_in_X", _with_nan, lambda y: y, "non-finite"),
+]
+
+
+@pytest.mark.parametrize("engine", ["fused", "legacy"])
+class TestFitValidation:
+    @pytest.mark.parametrize("case, bad_X, bad_y, message", _INVALID_SETS,
+                             ids=[case[0] for case in _INVALID_SETS])
+    def test_invalid_training_set_raises(self, engine, case, bad_X, bad_y, message):
+        X, y = _separable_problem(n=16)
+        model = CNNClassifier(3, 20, 2, filters=(4,), rng=np.random.default_rng(0))
+        before = {key: value.copy() for key, value in model.state_dict().items()}
+        config = TrainingConfig(epochs=2, batch_size=8, random_state=0, engine=engine)
+        with pytest.raises(ValueError, match="^training set .*" + message):
+            model.fit(bad_X(X), bad_y(y), config=config)
+        for key, value in model.state_dict().items():
+            assert np.array_equal(value, before[key]), key
+
+    @pytest.mark.parametrize("case, bad_X, bad_y, message", _INVALID_SETS,
+                             ids=[case[0] for case in _INVALID_SETS])
+    def test_invalid_validation_data_raises(self, engine, case, bad_X, bad_y, message):
+        X, y = _separable_problem(n=16)
+        model = CNNClassifier(3, 20, 2, filters=(4,), rng=np.random.default_rng(0))
+        config = TrainingConfig(epochs=2, batch_size=8, random_state=0, engine=engine)
+        with pytest.raises(ValueError, match="^validation_data .*" + message):
+            model.fit(X, y, validation_data=(bad_X(X), bad_y(y)), config=config)
+
+
 class TestScoringAndSerialization:
     def test_score_matches_manual_accuracy(self):
         X, y = _separable_problem(n=20)

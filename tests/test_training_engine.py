@@ -211,17 +211,26 @@ class TestPreparedInputs:
 
 
 class TestFusedKernels:
-    @pytest.mark.parametrize("shape", [(8, 5, 12), (8, 5, 4, 12)])
+    #: Contiguous NCHW (what the training conv lands) and channels-last views
+    #: transposed to NCHW (what a ``Tensor`` caller can still hand in).
+    @pytest.mark.parametrize("shape, channels_last", [
+        ((8, 5, 12), False), ((8, 5, 4, 12), False),
+        ((8, 5, 12), True), ((8, 5, 4, 12), True)],
+        ids=["shape0", "shape1", "shape0_channels_last", "shape1_channels_last"])
     @pytest.mark.parametrize("relu", [False, True])
-    def test_fused_batch_norm_bit_exact(self, shape, relu):
+    def test_fused_batch_norm_bit_exact(self, shape, channels_last, relu):
         rng = np.random.default_rng(3)
-        x_data = rng.standard_normal(shape)
+        if channels_last:
+            x_data = np.moveaxis(rng.standard_normal(shape[:1] + shape[2:] + shape[1:2]), -1, 1)
+        else:
+            x_data = rng.standard_normal(shape)
 
         def run(fused):
             bn = BatchNorm(shape[1])
             bn.weight.data[...] = rng_w
             bn.bias.data[...] = rng_b
-            x = Tensor(x_data.copy(), requires_grad=True)
+            x = Tensor(x_data.copy(order="K"), requires_grad=True)
+            assert x.data.flags.c_contiguous != channels_last
             if fused:
                 out = batch_norm_training(bn, x, relu=relu)
             else:
