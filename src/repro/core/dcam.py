@@ -26,6 +26,18 @@ cache-sized: a micro-batch is as wide as fits a fixed byte budget
 (:func:`_forward_width`), and ``M̄`` is accumulated one permutation's
 ``(D, D, n)`` ``M`` transform at a time.
 
+The forwards are independent, and each is a stream of small GEMMs that BLAS
+threads gain little on, so the cores share them instead: when every one of
+:data:`_FORWARD_THREADS` threads gets at least one full-width forward
+(``rows ≥ threads × width``), contiguous row slices cut at multiples of the
+width run on a process-wide thread pool while BLAS is pinned to one thread
+(:func:`repro.nn.blas.blas_threads`).  Otherwise, or when the BLAS thread
+count cannot be set (unpinned, the split is no faster), the rows run
+serially on the caller's thread.  Either way the forward partition is the
+serial one, so results are bitwise equal at every thread count; the merge
+and everything after it stay serial.  The peak in-flight working set is
+threads × the 8 MiB budget.
+
 No ``C(T)`` cube is built for the dCNN.  Cube row ``r`` is the permuted series
 rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
 data (:func:`repro.nn.functional.cube_conv_bn_relu`) and reads each permuted
@@ -38,12 +50,17 @@ reference for tests and benchmarks.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import Conv2d, Tensor, inference_mode
+from ..nn.blas import blas_threads, can_set_threads
 from .input_transform import inverse_order, random_permutations
 
 __all__ = [
@@ -74,6 +91,32 @@ _FORWARD_BYTES = 8 * 1024 * 1024
 #: setting's speed at half the peak transient footprint (sweep recorded in
 #: docs/benchmarks.md).
 _BATCH_MATERIALIZE_BYTES = 128 * 1024 * 1024
+
+#: Threads sharing one call's forwards: the cores this process may run on.
+_FORWARD_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+
+_pool: Optional[futures.ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _forward_pool() -> futures.ThreadPoolExecutor:
+    """The process's forward pool of :data:`_FORWARD_THREADS` threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(_FORWARD_THREADS, thread_name_prefix="dcam-forward")
+        return _pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool; a forked child must, as its threads stayed in the parent."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _materialize_group(permutations: int, n_dimensions: int, length: int) -> int:
@@ -212,10 +255,31 @@ def _stack_orders(permutations: Sequence[np.ndarray], n_dimensions: int) -> np.n
     return orders.astype(np.intp, copy=False)
 
 
+def _forward_rows(model, permuted: np.ndarray, class_weights: np.ndarray, cams: np.ndarray,
+                  predicted: np.ndarray, start: int, stop: int, width: int,
+                  reads_series: bool) -> None:
+    """Forward rows ``start:stop`` in ``width``-series micro-batches into ``cams``/``predicted``."""
+    # The grad mode is thread-local, so a pool thread sets its own.
+    with inference_mode():
+        for begin in range(start, stop, width):
+            end = min(begin + width, stop)
+            if reads_series:
+                prepared = Tensor(permuted[begin:end].astype(model.compute_dtype, copy=False))
+            else:
+                prepared = model.prepare_input(permuted[begin:end])
+            features = model.features(prepared)
+            logits = model.classifier(model.gap(features))
+            cams[begin:end] = np.einsum("bf,bfdn->bdn", class_weights[begin:end], features.data)
+            predicted[begin:end] = logits.data.argmax(axis=1)
+
+
 def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndarray,
                               class_weights: np.ndarray,
                               batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Forward pre-permuted series through the model in graph-free micro-batches.
+
+    Shared out over the forward pool when every thread gets a full-width
+    forward (module docstring).
 
     Parameters
     ----------
@@ -237,23 +301,25 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
     n_total, n_dimensions, length = permuted.shape
     cams = np.empty((n_total, n_dimensions, length))
     predicted = np.empty(n_total, dtype=np.int64)
-    batch_size = _forward_width(model, n_dimensions, length, batch_size)
+    width = _forward_width(model, n_dimensions, length, batch_size)
     with inference_mode():
         # A dCNN's layer 1 reads the permuted series directly; the other
         # d-architectures get the C(T) cube.
         reads_series = model.series_block() is not None
-        for start in range(0, n_total, batch_size):
-            stop = min(start + batch_size, n_total)
-            if reads_series:
-                prepared = Tensor(permuted[start:stop].astype(model.compute_dtype, copy=False))
-            else:
-                prepared = model.prepare_input(permuted[start:stop])
-            features = model.features(prepared)
-            logits = model.classifier(model.gap(features))
-            cams[start:stop] = np.einsum(
-                "bf,bfdn->bdn", class_weights[start:stop], features.data
-            )
-            predicted[start:stop] = logits.data.argmax(axis=1)
+    forward = functools.partial(_forward_rows, model, permuted, class_weights, cams, predicted,
+                                width=width, reads_series=reads_series)
+    threads = _FORWARD_THREADS
+    if threads < 2 or n_total < threads * width or not can_set_threads():
+        forward(start=0, stop=n_total)
+        return cams, predicted
+    chunks = -(-n_total // width)
+    bounds = [min(n_total, width * (chunks * index // threads)) for index in range(threads + 1)]
+    with blas_threads(1):
+        slices = [_forward_pool().submit(forward, start=start, stop=stop)
+                  for start, stop in zip(bounds, bounds[1:])]
+        futures.wait(slices)
+    for piece in slices:
+        piece.result()  # the first error in slice order, once none still writes
     return cams, predicted
 
 
@@ -411,8 +477,9 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         Cap on the permuted series per forward pass.  The width run is the
         widest, up to the cap, whose largest im2col fits an 8 MiB budget
         (:func:`_forward_width`), so peak memory is bounded by the budget,
-        not the cap.  Results agree across values (and with the legacy path)
-        to float round-off (≤ 1e-10), not necessarily bit-for-bit.
+        not the cap.  Results are bitwise equal across values (each row's
+        forward does not depend on the width); they agree with the legacy
+        path to float round-off (≤ 1e-10).
     """
     _require_d_architecture(model)
     series = np.asarray(series, dtype=np.float64)
