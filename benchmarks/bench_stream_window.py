@@ -5,9 +5,12 @@ One untrained (seeded) dCNN watches a synthetic multivariate feed through two
 
 * **naive** — every window recomputed from scratch through the offline
   pipeline (``k`` permuted forwards + the full dCAM merge per hop);
-* **incremental** — ring-buffered window, rolled ``C(T)`` cube stack, shifted
-  conv feature maps with dirty-column recomputation, delta-updated
-  permutation CAMs / ``M̄``.
+* **incremental** — feature maps and ``M̄`` kept in ring layout behind one
+  offset: a hop runs one fused-kernel call per layer over the dirty columns
+  (layer 1's slab gathered straight from the raw ring buffer) and one
+  einsum-and-gather ``M̄`` delta, and copies no cached column.  The GAP, the
+  ``extract_dcam`` over ``M̄`` and the heatmap's rotation into window order
+  remain O(window) per hop.
 
 Weights do not affect flop counts, so an untrained model measures the same
 work a trained one would.  Before a single hop is timed the two engines

@@ -91,8 +91,8 @@ def roll_cube_batch(cubes: np.ndarray, new_columns: np.ndarray) -> np.ndarray:
     ``cube[row, pos, t]`` depends only on column ``t`` of the underlying
     series, a window slide of ``hop`` timesteps shifts the cube's time axis
     left by ``hop`` and rewrites exactly the trailing ``hop`` columns — the
-    other ``n - hop`` columns are reused bitwise.  This is the rolling
-    ``C(T)`` update of the streaming workload (:mod:`repro.stream`).
+    other ``n - hop`` columns are reused bitwise.  (:mod:`repro.stream`
+    builds no cube: its layer 1 reads the permuted series off a ring.)
 
     Mutates and returns ``cubes``.
     """

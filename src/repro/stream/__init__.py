@@ -3,10 +3,11 @@
 Push multivariate samples one timestep (or block) at a time into a
 :class:`StreamSession`; once the first window fills, every ``hop`` new
 samples emit a :class:`StreamResult` with the window's logits and a CAM/dCAM
-heatmap.  The ``incremental`` engine reuses ring-buffered windows, rolled
-``C(T)`` cubes and shifted conv feature maps so each hop costs O(changed
-region); the ``naive`` engine recomputes each window through the offline
-pipeline and serves as the pinned parity oracle.  See docs/streaming.md.
+heatmap.  The ``incremental`` engine keeps its conv feature maps and ``M̄``
+in ring layout behind one offset, so each hop recomputes only the changed
+columns and copies no cached state; the ``naive`` engine recomputes each
+window through the offline pipeline and serves as the pinned parity oracle.
+See docs/streaming.md.
 
 Like :mod:`repro.serve` and :mod:`repro.dist`, this package is not imported
 eagerly by ``import repro`` — ``import repro.stream`` (or ``from repro.stream

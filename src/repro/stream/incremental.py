@@ -1,39 +1,45 @@
-"""Incremental conv-trunk evaluation for sliding windows.
+"""Incremental conv-trunk evaluation for sliding windows, in ring layout.
 
 A window slide by ``hop`` timesteps shifts the input's time axis: the new
 window's column ``t`` equals the old window's column ``t + hop`` for every
 ``t < W - hop``, and only the trailing ``hop`` columns carry new data.
 Stride-1 "same"-padded convolutions are translation-equivariant away from the
-boundaries, so almost all of each layer's feature map can be *shifted* from
-the previous window instead of recomputed.
+boundaries, so almost every column of each layer's feature map is already
+cached.  Every cached map stores window column ``t`` at ring position
+``(offset + t) mod W``; a slide by ``g`` advances ``offset`` by ``g``, so the
+surviving columns are never copied and the departed ones are exactly the
+positions the dirty columns take.
 
 Dirty-region algebra
 --------------------
 Dirty columns are tracked as ``[0, a) ∪ [b, W)`` — a left region poisoned by
 the zero padding (the old window's padding sat ``hop`` columns further left)
 and a right region fed by the new samples.  For a layer with time padding
-``p`` (kernel ``2p + 1``), output column ``t`` is shift-copyable iff its
-receptive field ``[t - p, t + p]`` avoids both regions **and** the sub-zero
-padding indices (``t - p >= 0``); indices beyond ``W`` are zeros in both old
-and new windows and are always safe.  Hence per layer::
+``p`` (kernel ``2p + 1``), output column ``t`` is reusable iff its receptive
+field ``[t - p, t + p]`` avoids both regions **and** the sub-zero padding
+indices (``t - p >= 0``); indices beyond ``W`` are zeros in both old and new
+windows and are always safe.  Hence per layer::
 
     a' = min(W, a + p)          b' = max(0, b - p)
 
-with ``a = 0, b = W - hop`` at the first layer.  Each hop therefore touches
-``O(hop + depth * p)`` columns per layer instead of ``O(W)``.
+with ``a = 0, b = W - hop`` at the first layer.  In ring order ``[b', W)``
+and ``[0, a')`` are adjacent, so one slab serves both: the receptive field
+``[b' - p, W)``, ``2p`` zeros, then ``[0, a' + p)`` (neither clips while
+``a' < b'``).  The block's fused kernel runs once over it with
+``padding=(0, 0)``; the ``2p`` junction outputs are dropped and the rest land
+at their ring positions.  A layer whose regions meet is recomputed whole, in
+window order, and so is every layer above it.  Each hop therefore runs
+``O(hop + depth · p)`` columns per layer through the kernels and moves no
+cached column.
 
-Dirty columns are recomputed through the exact kernel the full-width
-inference path uses — :func:`~repro.nn.functional.fused_conv_bn_relu`, or
-for a d-architecture's layer 1 :func:`~repro.nn.functional.cube_conv_bn_relu`
-over the permuted series (row 0 of the cube), as in dCAM's forward pass —
-fed a pre-assembled slab (interior slice plus explicit boundary zeros) with
-``padding=(0, 0)`` so interior slices are not spuriously re-padded.  A full
-rebuild (:meth:`IncrementalTrunk.reset`) issues the same full-width calls as
-the model's inference ``features``, so cold starts are bitwise-identical to
-the naive engine; shifted hops agree to float round-off (≤ 1e-10 at float64
-— BLAS accumulation may depend on the GEMM's width, so per-column bits may
-differ across call widths).  Layer 1's per-hop cost stays proportional to
-the changed columns.
+The kernels are the ones full-width inference uses —
+:func:`~repro.nn.functional.fused_conv_bn_relu`, or for a d-architecture's
+layer 1 :func:`~repro.nn.functional.cube_conv_bn_relu` over the permuted
+series (row 0 of the cube), as in dCAM's forward pass.  A full rebuild
+(:meth:`IncrementalTrunk.reset`) runs at offset 0 and issues the same
+full-width calls as the model's inference ``features``, so cold starts are
+bitwise-identical to the naive engine; later hops agree to float round-off
+(≤ 1e-10 at float64 — BLAS accumulation may depend on the GEMM's width).
 
 Only the CNN family qualifies: a trunk of ``Sequential(Conv, BatchNorm,
 ReLU)`` blocks with time stride 1, odd kernels and "same" padding (1D
@@ -46,7 +52,7 @@ falls back to the naive engine per ``StreamConfig.on_unsupported``.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -54,6 +60,35 @@ from ..nn import BatchNorm, Conv1d, Conv2d, ReLU, Sequential, row_conv_block
 from ..nn.functional import cube_conv_bn_relu, fused_conv_bn_relu
 
 __all__ = ["IncrementalTrunk", "UnsupportedArchitectureError", "supports_incremental"]
+
+
+def ring_read(x: np.ndarray, offset: int, lo: int, n: int) -> np.ndarray:
+    """Window columns ``[lo, lo + n)`` of a ring-stored ``x``, in order.
+
+    ``x`` holds window column ``t`` at ``(offset + t) mod W`` along its last
+    axis; ``lo + n`` may pass ``W``, continuing at window column 0 (ring
+    order).  A view when the positions do not wrap, else a two-piece copy.
+    """
+    width = x.shape[-1]
+    first = (offset + lo) % width
+    if first + n <= width:
+        return x[..., first : first + n]
+    return np.concatenate((x[..., first:], x[..., : first + n - width]), axis=-1)
+
+
+def ring_write(x: np.ndarray, offset: int, lo: int, values: np.ndarray) -> None:
+    """Store ``values`` as window columns ``[lo, lo + n)`` of a ring-stored ``x``."""
+    width, n = x.shape[-1], values.shape[-1]
+    first = (offset + lo) % width
+    head = min(n, width - first)
+    x[..., first : first + head] = values[..., :head]
+    if head < n:
+        x[..., : n - head] = values[..., head:]
+
+
+def window_order(x: np.ndarray, offset: int) -> np.ndarray:
+    """A fresh window-ordered copy of a ring-stored ``x``."""
+    return np.concatenate((x[..., offset:], x[..., :offset]), axis=-1)
 
 
 class UnsupportedArchitectureError(TypeError):
@@ -158,20 +193,18 @@ def supports_incremental(model) -> bool:
 class IncrementalTrunk:
     """Evaluate a conv trunk over sliding windows, reusing feature maps.
 
-    The caller owns the (fully updated) 4D input array and reports how many
-    new columns a slide introduced; this class owns one cached output array
-    per block and decides, per layer, which columns shift and which
-    recompute.  Peak state is the sum of all feature maps — the same arrays a
-    single naive forward materialises transiently.
+    The trunk owns one cached output array per block, all stored in ring
+    layout at one shared :attr:`offset`; per hop it decides, per layer, which
+    columns are reused and which recompute.  Peak state is the sum of all
+    feature maps — the same arrays a single naive forward materialises
+    transiently.
     """
 
     def __init__(self, model) -> None:
         self._blocks = _validate_trunk(model)
         self._outputs: List[np.ndarray] = []
-
-    def _first_input(self, x: np.ndarray) -> np.ndarray:
-        """Layer 1's input: row 0 of a cube is the permuted series itself."""
-        return x[:, 0] if self._blocks[0].series else x
+        #: Ring position of window column 0 in every cached map.
+        self.offset = 0
 
     @property
     def has_state(self) -> bool:
@@ -182,70 +215,60 @@ class IncrementalTrunk:
         self._outputs = []
 
     def reset(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Full forward of ``x`` (``(B, C, H, W)``), caching every block's map.
+        """Full forward of layer 1's window-ordered input ``x``, caching every map.
 
-        Issues the same full-width fused kernels as the model's inference
+        ``x`` is ``(B, C, H, W)``, or for a d-architecture the ``(B, D, W)``
+        (permuted) series its layer 1 reads.  Runs at offset 0 and issues the
+        same full-width fused kernels as the model's inference
         :meth:`~repro.models.conv_common.ConvBackboneClassifier.features`, so
         the result is bitwise-identical to a naive forward (for a
         d-architecture: to dCAM's, whose layer 1 reads the series).
         """
-        width = x.shape[-1]
         outputs: List[np.ndarray] = []
-        current = self._first_input(x)
+        current = x
         for block in self._blocks:
             current = block.run(current, (0, block.pad))
             outputs.append(current)
         self._outputs = outputs
-        return current, (width, 0)
+        self.offset = 0
+        return current, (x.shape[-1], 0)
 
-    def slide(self, x: np.ndarray, hop: int) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Update cached maps after ``x`` slid forward by ``hop`` columns.
+    def slide(
+        self, hop: int, source: np.ndarray, start: int,
+        lift: Callable[[np.ndarray], np.ndarray],
+    ) -> Tuple[np.ndarray, Tuple[int, int]]:
+        """Update the cached maps after the window slid forward by ``hop`` columns.
 
-        ``x`` must already hold the new window.  Returns the final feature
-        map and its dirty region ``(a, b)`` — columns ``[0, a) ∪ [b, W)``
-        were recomputed, columns ``[a, b)`` are bitwise the previous window's
-        columns shifted by ``hop`` (consumers can delta-update downstream
-        state the same way).
+        ``source`` is the raw ring already holding the new window (window
+        column ``t`` at ``(start + t) mod W``); ``lift`` maps a run of its
+        columns to layer 1's input.  Returns the final map, in ring layout at
+        the new :attr:`offset`, and its dirty region ``(a, b)``: columns
+        ``[0, a) ∪ [b, W)`` were recomputed, ``[a, b)`` are bitwise the
+        previous window's.
         """
-        width = x.shape[-1]
+        width = source.shape[-1]
         if not self._outputs or hop >= width:
-            return self.reset(x)
+            return self.reset(lift(ring_read(source, start, 0, width)))
+        offset = self.offset = (self.offset + hop) % width
         a, b = 0, width - hop
-        current = self._first_input(x)
-        for index, block in enumerate(self._blocks):
+        for block, out in zip(self._blocks, self._outputs):
             pad = block.pad
-            out = self._outputs[index]
-            a_new = min(width, a + pad)
-            b_new = max(0, b - pad)
+            a_new, b_new = min(width, a + pad), max(0, b - pad)
             if a_new >= b_new:
                 # Dirty regions met: recompute the whole layer (and, since
                 # everything below is now dirty, every layer above it).
-                out[...] = block.run(current, (0, pad))
+                whole = lift(ring_read(source, start, 0, width))
+                ring_write(out, offset, 0, block.run(whole, (0, pad)))
                 a, b = width, 0
             else:
-                out[..., : width - hop] = out[..., hop:]
-                if a_new:
-                    out[..., :a_new] = self._recompute(current, block, 0, a_new)
-                out[..., b_new:] = self._recompute(current, block, b_new, width)
+                right = ring_read(source, start, b_new - pad, width - b_new + pad)
+                junction = np.zeros(right.shape[:-1] + (2 * pad,), dtype=right.dtype)
+                left = ring_read(source, start, 0, a_new + pad)
+                slab = lift(np.concatenate((right, junction, left), axis=-1))
+                fresh = block.run(slab, (0, 0))
+                kept = width - b_new
+                ring_write(out, offset, b_new, fresh[..., :kept])
+                ring_write(out, offset, 0, fresh[..., kept + 2 * pad :])
                 a, b = a_new, b_new
-            current = out
-        return current, (a, b)
-
-    @staticmethod
-    def _recompute(x: np.ndarray, block: _Block, lo: int, hi: int) -> np.ndarray:
-        """Output columns ``[lo, hi)`` of one block, from the updated input.
-
-        Assembles the receptive field ``[lo - pad, hi + pad)`` — an interior
-        slice when possible, otherwise a slab with explicit boundary zeros —
-        and runs the padding-free fused kernel over it.
-        """
-        pad = block.pad
-        width = x.shape[-1]
-        src_lo, src_hi = lo - pad, hi + pad
-        if src_lo >= 0 and src_hi <= width:
-            slab = x[..., src_lo:src_hi]
-        else:
-            slab = np.zeros(x.shape[:-1] + (src_hi - src_lo,), dtype=x.dtype)
-            clip_lo, clip_hi = max(0, src_lo), min(width, src_hi)
-            slab[..., clip_lo - src_lo : clip_hi - src_lo] = x[..., clip_lo:clip_hi]
-        return block.run(slab, (0, 0))
+            source, start, lift = out, offset, np.asarray  # the map as it is
+        return out, (a, b)

@@ -9,19 +9,23 @@ Two engines share the exact same emission semantics:
   through the same code paths the offline pipeline uses
   (:func:`repro.core.compute_dcam` with session-fixed permutations, the
   CAM tensordot over full feature maps);
-* ``engine="incremental"`` — the production path: a ring buffer holds the
-  raw window, the ``C(T)`` cube stack is rolled column-wise
-  (:func:`repro.core.roll_cube_batch`), conv feature maps are shifted and
-  only dirty columns recomputed (:class:`~repro.stream.incremental.
-  IncrementalTrunk`), and the permutation CAMs / ``M̄`` are delta-updated
-  over the same dirty region.  Each hop costs O(changed region) instead of
-  O(window).
+* ``engine="incremental"`` — the production path: every piece of state —
+  the conv feature maps (:class:`~repro.stream.incremental.
+  IncrementalTrunk`), ``M̄`` and the CAM heatmap — stores window column
+  ``t`` at ring position ``(offset + t) mod W``, so a slide advances one
+  offset and moves no column.  Per layer, one fused-kernel call recomputes
+  the dirty columns, with layer 1's slab gathered straight from the raw ring
+  buffer (through the permutation rows for dCAM); the ``M̄`` (or CAM) delta
+  is one einsum and one gather over the same dirty ring positions.  What
+  stays O(window) per hop is the GAP over the last map, dCAM's extraction
+  over ``M̄`` and the heatmap's rotation into window order.
 
-Parity: a cold start (first window, post-swap, post-cache-hit) is
-bitwise-identical to the naive engine per feature map; steady-state hops
-agree to ≤ 1e-10 at float64 (einsum/BLAS accumulation is layout-sensitive,
-so shifted columns can differ from full-width recomputation in the last
-ulps).  The float32 tier inherits the documented ~1e-5 inference tolerance.
+Parity: a cold start (first window, post-swap, post-cache-hit) runs at
+offset 0 and is bitwise-identical to the naive engine per feature map and
+heatmap; later hops agree to ≤ 1e-10 at float64 (BLAS accumulation depends
+on the product's width and the GAP sums ring-ordered columns, so bits can
+differ from full-width recomputation in the last ulps).  The float32 tier
+inherits the documented ~1e-5 inference tolerance.
 ``tests/test_stream.py`` pins both; ``benchmarks/bench_stream_window.py``
 asserts parity before timing a single hop.
 
@@ -43,12 +47,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.dcam import _require_class, _stack_orders, compute_dcam, extract_dcam, permutation_rows
-from ..core.input_transform import build_cube_batch, random_permutations, roll_cube_batch
+# roll_cube_batch is unused here but stays bound: perfbench/layers.py wraps this module's name.
+from ..core.input_transform import random_permutations, roll_cube_batch  # noqa: F401
 from ..nn import inference_mode
 from ..obs.tracing import span
 from ..serve.cache import stream_window_key
 from .config import StreamConfig
-from .incremental import IncrementalTrunk, UnsupportedArchitectureError, supports_incremental
+from .incremental import (IncrementalTrunk, UnsupportedArchitectureError, ring_read, ring_write,
+                          supports_incremental, window_order)
 
 __all__ = ["StreamResult", "StreamSession"]
 
@@ -265,8 +271,6 @@ class StreamSession:
 
     def _invalidate_state(self) -> None:
         self._state_total: Optional[int] = None  # self._total at last compute
-        self._inputs: Optional[np.ndarray] = None
-        self._cams: Optional[np.ndarray] = None
         self._m_bar: Optional[np.ndarray] = None
         self._cam: Optional[np.ndarray] = None
         self._last_class: Optional[int] = None
@@ -406,48 +410,39 @@ class StreamSession:
     # ------------------------------------------------------------------
     # Incremental engine
     # ------------------------------------------------------------------
-    def _prepared_inputs(self, window: np.ndarray) -> np.ndarray:
-        """The model-ready 4D input batch for the current window."""
-        dtype = self.model.compute_dtype
-        kind = getattr(self.model, "input_kind", "raw")
-        if self.family == "dcam":
-            permuted = window[self._orders].astype(dtype)
-            return build_cube_batch(permuted)  # (k, D, D, W)
-        if kind == "channel":
-            return window.astype(dtype)[None, None, :, :]  # (1, 1, D, W)
-        return window.astype(dtype)[None, :, None, :]  # (1, D, 1, W) lifted 1D
+    def _lift(self, raw: np.ndarray) -> np.ndarray:
+        """Layer 1's input for raw window columns ``(D, n)``.
 
-    def _slide_inputs(self, tail: np.ndarray) -> None:
-        """Roll the owned input batch forward by ``tail.shape[-1]`` columns."""
+        A d-architecture's layer 1 reads the series itself — row 0 of each
+        permutation's ``C(T)`` cube, one row per permutation for dCAM; the
+        other families read the lifted ``(1, D, 1, n)`` / ``(1, 1, D, n)``
+        batch.
+        """
         dtype = self.model.compute_dtype
-        s = tail.shape[-1]
-        if self.family == "dcam":
-            roll_cube_batch(self._inputs, tail[self._orders].astype(dtype))
-            return
         kind = getattr(self.model, "input_kind", "raw")
-        block = tail.astype(dtype)
-        lifted = block[None, None, :, :] if kind == "channel" else block[None, :, None, :]
-        self._inputs[..., :-s] = self._inputs[..., s:]
-        self._inputs[..., -s:] = lifted
+        if kind == "cube":
+            rows = raw[self._orders] if self.family == "dcam" else raw[None]
+            return rows.astype(dtype, copy=False)
+        block = raw.astype(dtype, copy=False)
+        return block[None, None, :, :] if kind == "channel" else block[None, :, None, :]
 
     def _compute_incremental(self) -> dict:
         width = self.window
+        trunk = self._trunk
         stale_by = None if self._state_total is None else self._total - self._state_total
-        if stale_by is None or stale_by >= width or self._inputs is None:
+        if stale_by is None or stale_by >= width or not trunk.has_state:
             self.stats["cold_starts"] += 1
-            slide = 0  # a >= b below: the CAM/M̄ caches rebuild, never shift
-            self._inputs = self._prepared_inputs(self._ring.window())
-            features, (a, b) = self._trunk.reset(self._inputs)
+            features, (a, b) = trunk.reset(self._lift(self._ring.window()))
         else:
             # Cache hits leave state behind, so the gap can be any multiple
-            # of hop: everything downstream must shift by the same amount.
+            # of hop; the trunk's offset advances by all of it.
             self.stats["incremental_hops"] += 1
-            slide = stale_by
-            self._slide_inputs(self._ring.tail(stale_by))
-            features, (a, b) = self._trunk.slide(self._inputs, stale_by)
+            ring = self._ring
+            features, (a, b) = trunk.slide(stale_by, ring._buf, ring._pos, self._lift)
         self._state_total = self._total
 
-        # Head: the same GAP + dense arithmetic the Tensor path runs.
+        # Head: the same GAP + dense arithmetic the Tensor path runs, over
+        # ring-ordered columns (so it agrees with naive to round-off).
         model = self.model
         pooled = features.mean(axis=(2, 3))  # (B, F)
         logits_all = pooled @ model.classifier.weight.data.T + model.classifier.bias.data
@@ -458,83 +453,61 @@ class StreamSession:
                     "heatmap": None, "success_ratio": None}
         class_id = self._explained_class(predicted)
         if self.family == "cam":
-            heatmap = self._update_cam(features, class_id, a, b, slide)
+            heatmap = self._update_cam(features, class_id, a, b)
             return {"logits": logits, "predicted": predicted, "class_id": class_id,
-                    "heatmap": heatmap.copy(), "success_ratio": None}
-        dcam = self._update_dcam(features, class_id, a, b, slide)
+                    "heatmap": heatmap, "success_ratio": None}
+        dcam = self._update_dcam(features, class_id, a, b)
         predicted_all = logits_all.argmax(axis=1)
         n_correct = int((predicted_all == class_id).sum())
         return {"logits": logits, "predicted": predicted, "class_id": class_id,
                 "heatmap": dcam, "success_ratio": n_correct / len(self._orders)}
 
-    def _update_cam(
-        self, features: np.ndarray, class_id: int, a: int, b: int, slide: int
-    ) -> np.ndarray:
-        """Maintain the CAM heatmap, delta-updating when the class held.
+    def _rebuild(self, state: Optional[np.ndarray], class_id: int, a: int, b: int) -> bool:
+        """Rebuild, not delta-update, the CAM/``M̄``: none yet, a wholly
+        recomputed last map, or a class flip (CAMs depend on the class)."""
+        flipped = state is not None and class_id != self._last_class
+        self.stats["cam_rebuilds"] += flipped
+        self._last_class = class_id
+        return state is None or a >= b or flipped
 
-        ``slide`` is how far the trunk actually shifted this emission — the
-        accumulated gap after cache hits, not necessarily ``config.hop``.
-        """
+    def _update_cam(self, features: np.ndarray, class_id: int, a: int, b: int) -> np.ndarray:
+        """Maintain the ring-layout CAM; return a fresh window-ordered copy."""
         weights = self.model.class_weights[class_id]
         feats = features[0]
         if feats.shape[-2] == 1 and getattr(self.model, "input_kind", "raw") == "raw":
             feats = feats[:, 0, :]  # un-lift the 1D trunk: (F, W)
-        width = feats.shape[-1]
-        rebuild = (
-            self._cam is None or a >= b or class_id != self._last_class
-        )
+        width, offset = feats.shape[-1], self._trunk.offset
+        rebuild = self._rebuild(self._cam, class_id, a, b)
+        columns = feats if rebuild else ring_read(feats, offset, b, width - b + a)
+        cam = np.tensordot(weights, columns, axes=(0, 0))
         if rebuild:
-            if self._cam is not None and class_id != self._last_class:
-                self.stats["cam_rebuilds"] += 1
-            self._cam = np.tensordot(weights, feats, axes=(0, 0))
+            self._cam = cam
         else:
-            self._cam[..., : width - slide] = self._cam[..., slide:]
-            for lo, hi in ((0, a), (b, width)):
-                if lo < hi:
-                    self._cam[..., lo:hi] = np.tensordot(
-                        weights, feats[..., lo:hi], axes=(0, 0)
-                    )
-        self._last_class = class_id
-        return self._cam
+            ring_write(self._cam, offset, b, cam)
+        return window_order(self._cam, offset)
 
-    def _update_dcam(
-        self, features: np.ndarray, class_id: int, a: int, b: int, slide: int
-    ) -> np.ndarray:
-        """Maintain the permutation CAM stack and ``M̄``, then extract dCAM.
+    def _update_dcam(self, features: np.ndarray, class_id: int, a: int, b: int) -> np.ndarray:
+        """Maintain the ring-layout ``M̄``, then extract dCAM in window order.
 
-        CAMs depend on the explained class, so a class flip forces a full
-        CAM/``M̄`` rebuild from the (still incremental) feature maps; while
-        the class holds, only the dirty columns ``[0, a) ∪ [b, W)`` are
-        re-gathered.  ``slide`` is the trunk's actual shift this emission
-        (the accumulated gap after cache hits, not necessarily
-        ``config.hop``).  The ``(k, D, D, dirty)`` merge is one gather, small
-        at streaming scale (``_merge_cam_stack`` sums full windows per permutation).
+        CAMs depend on the explained class, so a class flip rebuilds ``M̄``
+        from the ring feature maps; while the class holds, one einsum and one
+        permutation-row gather redo the dirty columns ``[0, a) ∪ [b, W)``,
+        one run of ring positions.  The merge stays float64, as offline.
+        :func:`extract_dcam` reduces each column on its own, so rotating its
+        ``(D, W)`` map equals extracting a window-ordered ``M̄`` bitwise.
         """
-        k, n_dimensions = self._orders.shape
-        width = self.window
+        k = len(self._orders)
+        width, offset = self.window, self._trunk.offset
         weights = np.broadcast_to(
             self.model.class_weights[class_id], (k, features.shape[1])
         )
-        gather = np.arange(k)[:, None, None]
-        if self._cams is None or a >= b or class_id != self._last_class:
-            if self._cams is not None and class_id != self._last_class:
-                self.stats["cam_rebuilds"] += 1
-            if self._cams is None:
-                self._cams = np.empty((k, n_dimensions, width))
-                self._m_bar = np.empty((n_dimensions, n_dimensions, width))
-            self._cams[...] = np.einsum("bf,bfdn->bdn", weights, features)
-            self._m_bar[...] = self._cams[gather, self._rows].sum(axis=0) / k
+        rebuild = self._rebuild(self._m_bar, class_id, a, b)
+        columns = features if rebuild else ring_read(features, offset, b, width - b + a)
+        cams = np.einsum("bf,bfdn->bdn", weights, columns).astype(np.float64, copy=False)
+        merged = cams[np.arange(k)[:, None, None], self._rows].sum(axis=0) / k
+        if rebuild:
+            self._m_bar = merged
         else:
-            self._cams[..., : width - slide] = self._cams[..., slide:]
-            self._m_bar[..., : width - slide] = self._m_bar[..., slide:]
-            for lo, hi in ((0, a), (b, width)):
-                if lo < hi:
-                    self._cams[..., lo:hi] = np.einsum(
-                        "bf,bfdn->bdn", weights, features[..., lo:hi]
-                    )
-                    self._m_bar[..., lo:hi] = (
-                        self._cams[..., lo:hi][gather, self._rows].sum(axis=0) / k
-                    )
-        self._last_class = class_id
+            ring_write(self._m_bar, offset, b, merged)
         dcam, _averaged = extract_dcam(self._m_bar)
-        return dcam
+        return window_order(dcam, offset)

@@ -33,6 +33,8 @@ from repro.stream import (
     UnsupportedArchitectureError,
     supports_incremental,
 )
+from repro.core.dcam import extract_dcam
+from repro.stream.incremental import ring_read, ring_write, window_order
 from repro.stream.session import _RingWindow
 
 D, CLASSES = 4, 3
@@ -105,6 +107,29 @@ class TestRingWindow:
             ring.tail(4)
 
 
+class TestRingLayout:
+    def test_read_write_round_trip_across_the_wrap(self):
+        window = np.arange(2 * 7, dtype=float).reshape(2, 7)
+        for offset in range(7):
+            ring = np.roll(window, offset, axis=-1)  # column t at (offset + t) mod 7
+            np.testing.assert_array_equal(window_order(ring, offset), window)
+            # Ring order runs past column 6 into column 0.
+            np.testing.assert_array_equal(
+                ring_read(ring, offset, 5, 4), window[:, [5, 6, 0, 1]]
+            )
+            ring_write(ring, offset, 5, -window[:, :4])
+            np.testing.assert_array_equal(ring_read(ring, offset, 5, 4), -window[:, :4])
+            np.testing.assert_array_equal(ring_read(ring, offset, 2, 3), window[:, 2:5])
+
+    def test_extract_commutes_with_rotation_bitwise(self):
+        # The streaming engine extracts dCAM from its ring-layout M̄.
+        m_bar = np.random.default_rng(0).standard_normal((D, D, 32))
+        expected, _ = extract_dcam(m_bar)
+        for offset in (1, 13, 31):
+            dcam, _ = extract_dcam(np.roll(m_bar, offset, axis=-1))
+            np.testing.assert_array_equal(window_order(dcam, offset), expected)
+
+
 class TestIncrementalSupport:
     def test_cnn_family_supported(self):
         for cls in (CNNClassifier, CCNNClassifier, DCNNClassifier):
@@ -137,7 +162,7 @@ class TestIncrementalSupport:
             expected = model.features(Tensor(window[None])).data
             through_cube = model.features(model.prepare_input(window[None])).data
         cube = model.prepare_input(window[None]).data
-        features, (a, b) = trunk.reset(cube)
+        features, (a, b) = trunk.reset(cube[:, 0])
         assert (a, b) == (32, 0)
         np.testing.assert_array_equal(features, expected)
         np.testing.assert_allclose(features, through_cube, rtol=1e-12, atol=1e-12)
@@ -192,6 +217,20 @@ class TestDcamParity:
                 probed.push(block)
         results += run_stream(probed, feed[:, 33:])
         assert_emissions_match(results, expected, atol=0.0, rtol=0.0)
+
+    @pytest.mark.parametrize("engine", ["incremental", "naive"])
+    def test_malformed_push_is_rejected_and_consumes_nothing(self, engine):
+        config = StreamConfig(hop=2, k=4, engine=engine)
+        session = StreamSession(make_model(), config)
+        ragged = [[0.0, 1.0], [0.0], [1.0, 2.0], [3.0, 4.0]]
+        non_numeric = [[0.0, "x"]] + [[0.0, 1.0]] * (D - 1)
+        for bad in (ragged, non_numeric, np.zeros((D, 3, 1))):
+            with pytest.raises(ValueError):
+                session.push(bad)
+            assert session._total == 0
+        feed = make_feed(40)
+        expected = run_stream(StreamSession(make_model(), config), feed)
+        assert_emissions_match(run_stream(session, feed), expected, atol=0.0, rtol=0.0)
 
     def test_incremental_hops_actually_incremental(self):
         session = StreamSession(make_model(), StreamConfig(hop=2, k=4))
@@ -382,6 +421,11 @@ class TestConfigAndModes:
         assert results and all(
             r.heatmap is None and r.class_id is None for r in results
         )
+
+    def test_explain_none_streams_a_d_architecture_incrementally(self):
+        incremental, naive = both_engines(make_model, dict(explain="none", hop=3), make_feed(50))
+        assert all(r.engine == "incremental" for r in incremental)
+        assert_emissions_match(incremental, naive)
 
     def test_unexplainable_family_suggests_none(self):
         gru = GRUClassifier(D, 32, CLASSES, rng=np.random.default_rng(0))
