@@ -97,7 +97,6 @@ def build_requests(dataset, n_requests):
 
 def make_service(store, sample_rate, args):
     config = ServeConfig(max_batch_size=args.max_batch_size,
-                         max_wait_ms=args.max_wait_ms,
                          obs=ObsConfig(trace_sample_rate=sample_rate))
     return ExplanationService(store, cache=ExplanationCache(), config=config)
 
@@ -248,9 +247,7 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=3,
                         help="training epochs of the tiny served model")
     parser.add_argument("--max-batch-size", type=int, default=8,
-                        help="micro-batcher flush threshold")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="micro-batcher wait bound")
+                        help="micro-batcher flush size")
     parser.add_argument("--dimensions", type=int, default=6,
                         help="stream dimensions D (default: 6)")
     parser.add_argument("--window", type=int, default=128,

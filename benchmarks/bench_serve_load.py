@@ -18,8 +18,8 @@ connections, in two shapes:
 
 Two service configurations are compared:
 
-* **static** — the PR-5 reference :class:`~repro.serve.policy.StaticBatchPolicy`
-  (fixed flush size / wait bound);
+* **static** — the reference :class:`~repro.serve.policy.StaticBatchPolicy`
+  (a fixed flush size);
 * **adaptive** — :class:`~repro.serve.policy.AdaptiveBatchPolicy`, which
   grows the flush size under backlog (amortising per-flush overhead into
   higher goodput) and shrinks it when flushes exceed the latency budget.
@@ -121,7 +121,6 @@ def make_service(store, policy, args):
     config = ServeConfig(
         batch_policy=policy,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         # The adaptive policy explores *above* the static reference width,
         # never below it: on a loaded host the latency budget could otherwise
         # walk the flush size down to serial dispatch and lose the comparison
@@ -328,7 +327,7 @@ def verify_parity(store, dataset, args):
     adaptive_service = make_service(store, "adaptive", args)
     serial = ExplanationService(
         store, cache=ExplanationCache(),
-        config=ServeConfig(max_batch_size=1, max_wait_ms=0.0),
+        config=ServeConfig(max_batch_size=1),
     )
     try:
         left, right = replay(adaptive_service), replay(serial)
@@ -365,6 +364,7 @@ def with_server(store, policy, args, measure):
 
 
 def main(argv=None):
+    defaults = ServeConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="tiny", choices=["tiny", "small"],
                         help="experiment scale of the trained model / dataset")
@@ -383,12 +383,12 @@ def main(argv=None):
                         help="dCAM permutations per explain request")
     parser.add_argument("--epochs", type=int, default=5,
                         help="training epochs of the tiny served model")
-    parser.add_argument("--max-batch-size", type=int, default=8,
-                        help="static flush bound / adaptive starting point")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="static wait bound / adaptive starting point")
-    parser.add_argument("--max-adaptive-batch-size", type=int, default=24,
-                        help="hard cap of the adaptive flush size")
+    parser.add_argument("--max-batch-size", type=int, default=defaults.max_batch_size,
+                        help="static flush size / adaptive starting point")
+    parser.add_argument("--max-adaptive-batch-size", type=int,
+                        default=defaults.max_adaptive_batch_size,
+                        help="hard cap of the adaptive flush size "
+                             "(default: ServeConfig's)")
     parser.add_argument("--latency-budget-ms", type=float, default=500.0,
                         help="adaptive per-flush latency budget")
     parser.add_argument("--pairs", type=int, default=3,

@@ -134,10 +134,7 @@ def replay(service, requests, n_clients, pool=None):
 
 
 def make_service(store, batched, args):
-    config = ServeConfig(
-        max_batch_size=args.max_batch_size if batched else 1,
-        max_wait_ms=args.max_wait_ms if batched else 0.0,
-    )
+    config = ServeConfig(max_batch_size=args.max_batch_size if batched else 1)
     return ExplanationService(store, cache=ExplanationCache(), config=config)
 
 
@@ -194,9 +191,7 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=5,
                         help="training epochs of the tiny served models")
     parser.add_argument("--max-batch-size", type=int, default=8,
-                        help="micro-batcher flush threshold in batched mode")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="micro-batcher wait bound in batched mode")
+                        help="micro-batcher flush size in batched mode")
     parser.add_argument("--repeats", type=int, default=3,
                         help="measurement repetitions (best-of is reported)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
@@ -252,7 +247,6 @@ def main(argv=None):
         "clients": args.clients,
         "k": args.k,
         "max_batch_size": args.max_batch_size,
-        "max_wait_ms": args.max_wait_ms,
         "phases": phase_records,
         "total_requests": total_requests,
         "serial_requests_per_second": total_requests / total_serial,

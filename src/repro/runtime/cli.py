@@ -644,6 +644,9 @@ def _command_export_model(args: argparse.Namespace) -> int:
 
 
 def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    from ..serve.service import ServeConfig
+
+    defaults = ServeConfig()
     parser.add_argument(
         "--store", required=True, metavar="DIR", help="model artifact store directory (see export-model)"
     )
@@ -654,58 +657,52 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-batch-size",
         type=int,
-        default=8,
+        default=defaults.max_batch_size,
         metavar="N",
-        help="micro-batcher flush threshold; 1 disables "
+        help="most requests one micro-batcher flush takes; 1 disables "
         "coalescing; the adaptive policy starts here "
-        "(default: 8)",
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="max milliseconds a queued request waits for companions (default: 2)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--policy",
         default="adaptive",
         choices=["static", "adaptive"],
-        help="batching policy: fixed flush bounds, or "
-        "feedback-driven bounds adapted to observed "
+        help="batching policy: a fixed flush size, or a "
+        "feedback-driven size adapted to observed "
         "queue depth / flush latency (default: adaptive)",
     )
     parser.add_argument(
         "--max-adaptive-batch-size",
         type=int,
-        default=64,
+        default=defaults.max_adaptive_batch_size,
         metavar="N",
-        help="hard upper bound of the adaptive policy's flush size (default: 64)",
+        help="hard upper bound of the adaptive policy's flush size (default: %(default)s)",
     )
     parser.add_argument(
         "--latency-budget-ms",
         type=float,
-        default=250.0,
+        default=defaults.policy_latency_budget_ms,
         metavar="MS",
         help="adaptive policy's per-flush latency budget: "
         "sustained flushes above it shrink the batch "
-        "(default: 250)",
+        "(default: %(default)g)",
     )
     parser.add_argument(
         "--max-queue-depth",
         type=int,
-        default=512,
+        default=defaults.max_queue_depth,
         metavar="N",
         help="per-(model, kind) in-flight bound; requests "
         "over it are shed with HTTP 429 + Retry-After; "
-        "0 disables shedding (default: 512)",
+        "0 disables shedding (default: %(default)s)",
     )
     parser.add_argument(
         "--drain-timeout-s",
         type=float,
-        default=30.0,
+        default=defaults.drain_timeout_s,
         metavar="S",
-        help="graceful-shutdown drain bound: queued requests unserved after this fail fast (default: 30)",
+        help="graceful-shutdown drain bound: queued requests unserved after this "
+        "fail fast (default: %(default)g)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", help="persist the explanation cache here (memory-only otherwise)"
@@ -781,7 +778,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         batch_policy=args.policy,
         max_adaptive_batch_size=args.max_adaptive_batch_size,
         policy_latency_budget_ms=args.latency_budget_ms,

@@ -10,8 +10,10 @@ served by an :class:`ExplanationService` that
   calls via a dynamic :class:`MicroBatcher` with one flush worker per
   (model, kind) group (responses are byte-identical to per-request
   execution — see :mod:`repro.serve.engine`),
-* adapts its flush size and wait bound to the observed load through a
-  pluggable :class:`BatchPolicy` (:mod:`repro.serve.policy`) and sheds
+* flushes as soon as a group's worker holds a request (work-conserving:
+  no request waits on an idle worker), adapts its flush size to the
+  observed load through a pluggable :class:`BatchPolicy`
+  (:mod:`repro.serve.policy`) and sheds
   load with bounded per-group queues (:class:`QueueFullError` → HTTP 429
   + ``Retry-After``) once an admission watermark is hit,
 * answers repeated work from a content-addressed :class:`ExplanationCache`
@@ -26,12 +28,7 @@ from .batcher import MicroBatcher, QueueFullError
 from .cache import ExplanationCache, content_key, response_cache_key, stream_window_key
 from .engine import ParityReport, probe_batch_parity, serve_logits
 from .http import ServiceHTTPServer, make_server, run_server, serve_in_background
-from .policy import (
-    AdaptiveBatchPolicy,
-    BatchPolicy,
-    FlushDecision,
-    StaticBatchPolicy,
-)
+from .policy import AdaptiveBatchPolicy, BatchPolicy, StaticBatchPolicy
 from .service import (
     ClassifyResponse,
     ExplainResponse,
@@ -50,7 +47,6 @@ __all__ = [
     "MicroBatcher",
     "QueueFullError",
     "BatchPolicy",
-    "FlushDecision",
     "StaticBatchPolicy",
     "AdaptiveBatchPolicy",
     "ExplanationService",

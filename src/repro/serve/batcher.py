@@ -5,19 +5,19 @@ Requests enter through :meth:`MicroBatcher.submit`, which returns a
 serving layer uses ``(artifact name, request kind)``) owns a dedicated
 worker thread with its own queue — one slow dCAM flush can therefore never
 stall classify traffic, or another model's explains: flushes of different
-groups overlap freely.  A group's worker drains its queue and flushes a
-batch to the ``execute`` callable when either
+groups overlap freely.
 
-* the batch reaches the policy's ``max_batch_size`` requests, or
-* its oldest request has waited the policy's ``max_wait_s``.
-
-Both bounds come from a pluggable :class:`~repro.serve.policy.BatchPolicy`
-consulted once per accumulation round and fed back the width, wall clock and
-remaining backlog of every flush — a :class:`StaticBatchPolicy` reproduces
-the fixed-knob behaviour (``max_batch_size=1`` is the serial per-request
-dispatch mode the throughput benchmark compares against), an
-:class:`~repro.serve.policy.AdaptiveBatchPolicy` tunes the bounds from the
-observed load.
+The batcher is **work-conserving**: a group's worker never holds a request
+while it is idle.  As soon as it holds one it flushes everything already
+queued, up to the policy's flush size, to the ``execute`` callable.  Nothing
+waits for companions that have not arrived; under load, batches form from
+the requests that queued behind a running flush.  The flush size comes from
+a pluggable :class:`~repro.serve.policy.BatchPolicy` consulted once per
+flush and fed back the width, wall clock and remaining backlog of every
+flush — a :class:`StaticBatchPolicy` holds it constant (``max_batch_size=1``
+is the serial per-request dispatch mode the throughput benchmark compares
+against), an :class:`~repro.serve.policy.AdaptiveBatchPolicy` tunes it from
+the observed load.
 
 Admission control: ``max_queue_depth`` bounds each group's in-flight
 requests (queued + executing).  A submit over the bound fails fast with
@@ -53,10 +53,8 @@ from ..obs.tracing import TraceContext, activate, current, span
 from ..telemetry import Telemetry
 from .policy import BatchPolicy, StaticBatchPolicy
 
-#: Default flush bounds: large enough to fill under concurrent load, small
-#: enough that an isolated request barely notices.
+#: Default flush size: the most requests one engine call takes.
 DEFAULT_MAX_BATCH_SIZE = 8
-DEFAULT_MAX_WAIT_MS = 2.0
 
 #: Fallback ``retry_after_s`` before a group has measured its service rate.
 DEFAULT_RETRY_AFTER_S = 1.0
@@ -149,11 +147,10 @@ class _GroupWorker:
         self.batcher.telemetry.gauge(_depth_gauge_name(self.group_key)).set(self.depth)
 
     # ------------------------------------------------------------------
-    def _flush(self, batch: List[_Pending], reason: str) -> None:
+    def _flush(self, batch: List[_Pending]) -> None:
         telemetry = self.batcher.telemetry
         telemetry.increment("batches_flushed")
         telemetry.increment("batched_requests", len(batch))
-        telemetry.increment(f"flushes_{reason}")
         if isinstance(self.group_key, tuple) and len(self.group_key) == 2:
             kind = self.group_key[1]
         else:
@@ -185,7 +182,7 @@ class _GroupWorker:
             with telemetry.timer(f"flush_{kind}"):
                 if first_trace is not None:
                     with activate(first_trace):
-                        with span("batcher.flush", width=len(batch), reason=reason):
+                        with span("batcher.flush", width=len(batch)):
                             self._execute_batch(batch)
                 else:
                     self._execute_batch(batch)
@@ -235,44 +232,27 @@ class _GroupWorker:
             pending.future.set_result(result)
 
     def _loop(self) -> None:
-        pending: List[_Pending] = []
-        shutdown = False
         while True:
-            decision = self.batcher.policy.decision(self.group_key)
-            if pending:
-                deadline = pending[0].enqueued_at + decision.max_wait_s
-                timeout = max(0.0, deadline - time.perf_counter())
-            else:
-                timeout = None
-            try:
-                item = self.queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            # Drain everything already queued before deciding what to flush:
-            # requests that piled up while the previous flush executed should
-            # coalesce, not trickle out one per loop iteration as their wait
-            # deadlines expire.
-            while item is not None:
-                if item is _SHUTDOWN:
-                    shutdown = True
-                else:
-                    pending.append(item)
-                    if len(pending) >= decision.max_batch_size:
-                        size = decision.max_batch_size
-                        batch, pending = pending[:size], pending[size:]
-                        self._flush(batch, "full")
-                        decision = self.batcher.policy.decision(self.group_key)
+            # Block only while idle, then take what is already queued, up to
+            # the flush size: requests that piled up behind the previous
+            # flush coalesce, and a lone request is flushed at once.  The
+            # rest stays queued, where close(timeout) can still fail it.
+            size = self.batcher.policy.decision(self.group_key)
+            batch: List[_Pending] = []
+            item = self.queue.get()
+            while item is not _SHUTDOWN:
+                batch.append(item)
+                if len(batch) >= size:
+                    break
                 try:
                     item = self.queue.get_nowait()
                 except queue.Empty:
-                    item = None
-            if pending and (
-                shutdown
-                or time.perf_counter() - pending[0].enqueued_at >= decision.max_wait_s
-            ):
-                batch, pending = pending, []
-                self._flush(batch, "shutdown" if shutdown else "timed_out")
-            if shutdown and not pending:
+                    break
+            if batch:
+                self._flush(batch)
+            if item is _SHUTDOWN:
+                # close() enqueues the marker after every accepted request,
+                # so nothing is left behind it.
                 return
 
     def fail_queued(self, error_factory: Callable[[], BaseException]) -> int:
@@ -304,17 +284,14 @@ class MicroBatcher:
     ----------
     execute:
         ``execute(group_key, requests) -> results`` — evaluated on the
-        group's worker thread with between 1 and the policy's
-        ``max_batch_size`` requests per call.
+        group's worker thread with between 1 and the policy's flush size
+        requests per call.
     max_batch_size:
-        Flush threshold of the default static policy; ``1`` disables
-        coalescing (serial dispatch).  Ignored when ``policy`` is given.
-    max_wait_ms:
-        Wait bound of the default static policy.  Ignored when ``policy``
-        is given.
+        Flush size of the default static policy; ``1`` disables coalescing
+        (serial dispatch).  Ignored when ``policy`` is given.
     policy:
         A :class:`~repro.serve.policy.BatchPolicy`; defaults to
-        ``StaticBatchPolicy(max_batch_size, max_wait_ms)``.
+        ``StaticBatchPolicy(max_batch_size)``.
     max_queue_depth:
         Per-group bound on in-flight requests (queued + executing); submits
         over it raise :class:`QueueFullError`.  ``None`` disables shedding.
@@ -329,8 +306,7 @@ class MicroBatcher:
         shedding (default 0.75).
     telemetry:
         Optional shared registry; the batcher counts ``batches_flushed``,
-        ``batched_requests``, ``flushes_full`` / ``flushes_timed_out`` /
-        ``flushes_shutdown``, ``requests_shed`` (plus
+        ``batched_requests``, ``requests_shed`` (plus
         ``requests_shed_priority`` for priority-0 sheds at the global
         watermark), per-kind ``flush_<kind>`` / ``queue_wait_<kind>`` timers
         (each backed by a latency histogram), per-group ``queue_depth[...]``
@@ -341,7 +317,6 @@ class MicroBatcher:
         self,
         execute: Callable[[Hashable, List[Any]], List[Any]],
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         telemetry: Optional[Telemetry] = None,
         policy: Optional[BatchPolicy] = None,
         max_queue_depth: Optional[int] = None,
@@ -349,7 +324,7 @@ class MicroBatcher:
         shed_watermark: float = 0.75,
     ) -> None:
         self._execute = execute
-        self.policy = policy if policy is not None else StaticBatchPolicy(max_batch_size, max_wait_ms)
+        self.policy = policy if policy is not None else StaticBatchPolicy(max_batch_size)
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_total_depth is not None and max_total_depth < 1:

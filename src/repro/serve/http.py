@@ -26,10 +26,12 @@ Routes
     ``{"model": name, "instance": [[...], ...], "class_id"?, "k"?, "seed"?}``
     → the ``(D, n)`` heatmap plus the dCAM success ratio where applicable.
 
-Errors map to JSON bodies: 400 for malformed requests, 404 for unknown
-routes/models, **429 + ``Retry-After``** when a model/kind queue is over its
-admission watermark (the load-shedding backpressure signal — see
-:class:`repro.serve.batcher.QueueFullError`), 500 otherwise.  Arrays travel
+Errors map to JSON bodies: 400 for malformed requests (a negative or
+non-numeric ``Content-Length`` included), 404 for unknown routes/models,
+413 for a body over :data:`MAX_BODY_BYTES`, **429 + ``Retry-After``** when
+a model/kind queue is over its admission watermark (the load-shedding
+backpressure signal — see :class:`repro.serve.batcher.QueueFullError`), 500
+otherwise.  Arrays travel
 as nested JSON lists; numbers round-trip exactly (``repr``-based float
 serialisation on both sides).
 
@@ -57,6 +59,19 @@ from ..obs.exposition import (
 from ..obs.tracing import maybe_trace
 from .batcher import QueueFullError
 from .service import ExplanationService
+
+#: Largest accepted request body.  A ``(D, n)`` instance costs about 20 bytes
+#: per value as JSON, so this admits well over a million values; a larger
+#: ``Content-Length`` is refused before a byte of the body is read.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
+
+class _UnreadBody(ValueError):
+    """A ``Content-Length`` refused before reading: answer, then hang up."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -113,7 +128,18 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        # rfile.read(-1) reads to EOF, which blocks until the client hangs
+        # up; a huge length asks for that many bytes.  Either is refused
+        # unread, and the connection closes since the body cannot be skipped.
+        if length < 0:
+            raise _UnreadBody(400, f"invalid Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise _UnreadBody(413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "{}")
@@ -156,6 +182,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, self._timed(service, "explain", payload, self._explain))
             else:
                 self._send_json(404, {"error": f"unknown route {self.path!r}"})
+        except _UnreadBody as error:
+            self._send_json(error.status, {"error": str(error)}, {"Connection": "close"})
         except QueueFullError as error:
             # Load-shedding backpressure: the request was never admitted, so
             # the client can safely retry once the queue drains.

@@ -1,8 +1,9 @@
-"""Batching policies: how large a flush grows and how long requests wait.
+"""Batching policies: how large a flush may grow.
 
-The micro-batcher (:mod:`repro.serve.batcher`) asks its policy, once per
-accumulation round, for a :class:`FlushDecision` — the flush threshold and
-the wait bound of the *next* batch of one ``(model, kind)`` group — and
+The micro-batcher (:mod:`repro.serve.batcher`) is work-conserving: it
+flushes as soon as a group holds a request, so a policy decides no wait,
+only the flush size.  The batcher asks for it once per flush — the most
+requests the *next* batch of one ``(model, kind)`` group may take — and
 reports every executed flush back through :meth:`BatchPolicy.observe`.  A
 policy therefore closes a feedback loop over exactly the two signals the
 serving layer already measures (queue depth and per-flush latency); it never
@@ -12,8 +13,8 @@ probe / per-request fallback sits below the policy layer.
 
 Two implementations:
 
-* :class:`StaticBatchPolicy` — the PR-5 reference behaviour: constant flush
-  size and wait bound.  Retained as the baseline the load benchmark
+* :class:`StaticBatchPolicy` — the reference behaviour: a constant flush
+  size.  Retained as the baseline the load benchmark
   (``benchmarks/bench_serve_load.py``) compares against.
 * :class:`AdaptiveBatchPolicy` — feedback-driven (the Bao move: replace
   fixed heuristics with decisions driven by observed behaviour).  Per group
@@ -25,7 +26,7 @@ Two implementations:
   → bigger batches amortise per-flush overhead → higher goodput) and back
   down when the queue idles or flushes exceed a latency budget (→ bounded
   tail latency).  Both walks require ``hysteresis`` *consecutive* signals
-  before stepping, so scheduler noise cannot flap the knobs, and every
+  before stepping, so scheduler noise cannot flap the size, and every
   decision is clamped to hard bounds from :class:`~repro.serve.service.ServeConfig`.
 
 Policy state is only read and mutated from the owning group's single worker
@@ -36,27 +37,16 @@ dict itself is guarded for concurrent first access).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from ..telemetry import Telemetry
 
 
-@dataclass(frozen=True)
-class FlushDecision:
-    """The batcher's marching orders for one accumulation round."""
-
-    #: Flush as soon as this many requests are pending.
-    max_batch_size: int
-    #: Flush a partial batch once its oldest request waited this long.
-    max_wait_s: float
-
-
 class BatchPolicy:
-    """Decide flush bounds per group; observe every executed flush."""
+    """Decide the flush size per group; observe every executed flush."""
 
-    def decision(self, group_key: Hashable) -> FlushDecision:
-        """The flush bounds the group's worker applies to its next batch."""
+    def decision(self, group_key: Hashable) -> int:
+        """The most requests the group's worker takes into its next flush."""
         raise NotImplementedError
 
     def observe(
@@ -86,22 +76,16 @@ class BatchPolicy:
 
 
 class StaticBatchPolicy(BatchPolicy):
-    """Constant flush bounds — the reference behaviour of PR 5."""
+    """A constant flush size — the reference behaviour."""
 
-    def __init__(self, max_batch_size: int = 8, max_wait_ms: float = 2.0) -> None:
-        self._decision = FlushDecision(
-            max_batch_size=max(1, int(max_batch_size)),
-            max_wait_s=max(0.0, float(max_wait_ms)) / 1000.0,
-        )
+    def __init__(self, max_batch_size: int = 8) -> None:
+        self.max_batch_size = max(1, int(max_batch_size))
 
-    def decision(self, group_key: Hashable) -> FlushDecision:
-        return self._decision
+    def decision(self, group_key: Hashable) -> int:
+        return self.max_batch_size
 
     def describe(self) -> str:
-        return (
-            f"static(max_batch_size={self._decision.max_batch_size}, "
-            f"max_wait_ms={self._decision.max_wait_s * 1000.0:g})"
-        )
+        return f"static(max_batch_size={self.max_batch_size})"
 
 
 class _GroupState:
@@ -109,7 +93,6 @@ class _GroupState:
 
     __slots__ = (
         "batch_size",
-        "wait_s",
         "depth_ewma",
         "latency_ewma",
         "queue_ewma",
@@ -118,9 +101,8 @@ class _GroupState:
         "shrink_streak",
     )
 
-    def __init__(self, batch_size: int, wait_s: float) -> None:
+    def __init__(self, batch_size: int) -> None:
         self.batch_size = batch_size
-        self.wait_s = wait_s
         self.depth_ewma = 0.0
         self.latency_ewma: Optional[float] = None
         self.queue_ewma = 0.0
@@ -130,18 +112,13 @@ class _GroupState:
 
 
 class AdaptiveBatchPolicy(BatchPolicy):
-    """Feedback-driven flush bounds with hysteresis and hard clamps.
+    """Feedback-driven flush size with hysteresis and hard clamps.
 
     Parameters
     ----------
     min_batch_size, max_batch_size:
-        Hard bounds of the flush threshold; the policy starts at
+        Hard bounds of the flush size; the policy starts at
         ``initial_batch_size`` (clamped) and doubles / halves within them.
-    min_wait_ms, max_wait_ms:
-        Hard bounds of the wait bound.  Under backlog the wait collapses to
-        the minimum (companions are already queued — waiting only adds
-        latency); when the queue idles it relaxes back toward
-        ``initial_wait_ms`` so lone requests can still pick up companions.
     latency_budget_ms:
         Soft ceiling on the smoothed per-flush wall clock.  Flushes slower
         than this shrink the batch even under backlog — the knob that keeps
@@ -166,10 +143,7 @@ class AdaptiveBatchPolicy(BatchPolicy):
         self,
         initial_batch_size: int = 8,
         min_batch_size: int = 1,
-        max_batch_size: int = 64,
-        initial_wait_ms: float = 2.0,
-        min_wait_ms: float = 0.0,
-        max_wait_ms: float = 8.0,
+        max_batch_size: int = 24,
         latency_budget_ms: float = 250.0,
         hysteresis: int = 3,
         ewma_alpha: float = 0.3,
@@ -188,11 +162,6 @@ class AdaptiveBatchPolicy(BatchPolicy):
         self.initial_batch_size = min(
             self.max_batch_size, max(self.min_batch_size, int(initial_batch_size))
         )
-        self.min_wait_s = max(0.0, float(min_wait_ms)) / 1000.0
-        self.max_wait_s = max(self.min_wait_s, float(max_wait_ms) / 1000.0)
-        self.initial_wait_s = min(
-            self.max_wait_s, max(self.min_wait_s, float(initial_wait_ms) / 1000.0)
-        )
         self.latency_budget_s = max(0.0, float(latency_budget_ms)) / 1000.0
         self.hysteresis = max(1, int(hysteresis))
         self.ewma_alpha = float(ewma_alpha)
@@ -205,14 +174,11 @@ class AdaptiveBatchPolicy(BatchPolicy):
         state = self._states.get(group_key)
         if state is None:
             with self._states_lock:
-                state = self._states.setdefault(
-                    group_key, _GroupState(self.initial_batch_size, self.initial_wait_s)
-                )
+                state = self._states.setdefault(group_key, _GroupState(self.initial_batch_size))
         return state
 
-    def decision(self, group_key: Hashable) -> FlushDecision:
-        state = self._state(group_key)
-        return FlushDecision(max_batch_size=state.batch_size, max_wait_s=state.wait_s)
+    def decision(self, group_key: Hashable) -> int:
+        return self._state(group_key).batch_size
 
     def observe(
         self,
@@ -284,9 +250,6 @@ class AdaptiveBatchPolicy(BatchPolicy):
                 state.batch_size = grown
                 self.telemetry.increment("policy_grow_steps")
                 changed = True
-            # Companions are already queued: waiting for more only defers
-            # work, so under backlog the wait bound collapses.
-            state.wait_s = self.min_wait_s
         elif state.shrink_streak >= self.hysteresis:
             state.shrink_streak = 0
             shrunk = max(self.min_batch_size, state.batch_size // 2)
@@ -294,9 +257,6 @@ class AdaptiveBatchPolicy(BatchPolicy):
                 state.batch_size = shrunk
                 self.telemetry.increment("policy_shrink_steps")
                 changed = True
-            # Load is light again: relax the wait back toward the initial
-            # bound so lone requests can pick up companions.
-            state.wait_s = self.initial_wait_s
         if changed:
             self.telemetry.increment("policy_adjustments")
         self.telemetry.gauge(_gauge_name(group_key)).set(state.batch_size)
@@ -304,7 +264,6 @@ class AdaptiveBatchPolicy(BatchPolicy):
     def describe(self) -> str:
         return (
             f"adaptive(batch {self.min_batch_size}..{self.max_batch_size}, "
-            f"wait {self.min_wait_s * 1000.0:g}..{self.max_wait_s * 1000.0:g}ms, "
             f"latency budget {self.latency_budget_s * 1000.0:g}ms, "
             f"hysteresis {self.hysteresis})"
         )

@@ -31,12 +31,7 @@ from ..obs.config import ObsConfig
 from ..obs.tracing import Tracer, span
 from ..telemetry import Telemetry
 from . import engine
-from .batcher import (
-    DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_WAIT_MS,
-    MicroBatcher,
-    group_key_of,
-)
+from .batcher import DEFAULT_MAX_BATCH_SIZE, MicroBatcher, group_key_of
 from .cache import ExplanationCache, response_cache_key
 from .policy import AdaptiveBatchPolicy, BatchPolicy, StaticBatchPolicy
 from .store import ModelArtifact, ModelArtifactStore
@@ -49,27 +44,24 @@ _UNSET = object()
 class ServeConfig:
     """Knobs of one service instance."""
 
-    #: Flush threshold of the micro-batcher; 1 = serial per-request dispatch.
-    #: Under ``batch_policy="adaptive"`` this is the *initial* flush size the
+    #: Most requests one micro-batcher flush takes; 1 = serial per-request
+    #: dispatch.  The batcher never waits for companions: a flush takes what
+    #: is already queued, up to this size.  Under
+    #: ``batch_policy="adaptive"`` this is the *initial* flush size the
     #: policy starts walking from.
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    #: Milliseconds the oldest queued request may wait for companions.  Under
-    #: ``batch_policy="adaptive"`` this is the initial wait bound.
-    max_wait_ms: float = DEFAULT_MAX_WAIT_MS
-    #: Batching policy: ``"static"`` (fixed flush bounds, the reference
-    #: behaviour) or ``"adaptive"`` (feedback-driven flush size / wait from
-    #: observed queue depth and flush latency — see
+    #: Batching policy: ``"static"`` (a fixed flush size, the reference
+    #: behaviour) or ``"adaptive"`` (flush size fed back from observed queue
+    #: depth and flush latency — see
     #: :class:`repro.serve.policy.AdaptiveBatchPolicy`).  Either way response
-    #: bytes are identical; the policy only moves scheduling knobs.
+    #: bytes are identical; the policy only moves the flush size.
     batch_policy: str = "static"
     #: Hard lower bound of the adaptive policy's flush size.
     min_batch_size: int = 1
-    #: Hard upper bound of the adaptive policy's flush size.
-    max_adaptive_batch_size: int = 64
-    #: Hard lower bound (ms) of the adaptive policy's wait bound.
-    min_wait_ms: float = 0.0
-    #: Hard upper bound (ms) of the adaptive policy's wait bound.
-    max_adaptive_wait_ms: float = 8.0
+    #: Hard upper bound of the adaptive policy's flush size.  24 and 64
+    #: measured alike on the tiny load benchmark (docs/benchmarks.md); the
+    #: smaller cap bounds how long one flush holds the group's worker.
+    max_adaptive_batch_size: int = 24
     #: Soft ceiling (ms) on the adaptive policy's smoothed per-flush wall
     #: clock; sustained flushes above it shrink the batch to bound tail
     #: latency.
@@ -126,15 +118,12 @@ class ServeConfig:
     def make_batch_policy(self, telemetry: Optional[Telemetry] = None) -> BatchPolicy:
         """The configured :class:`BatchPolicy` instance."""
         if self.batch_policy == "static":
-            return StaticBatchPolicy(self.max_batch_size, self.max_wait_ms)
+            return StaticBatchPolicy(self.max_batch_size)
         if self.batch_policy == "adaptive":
             return AdaptiveBatchPolicy(
                 initial_batch_size=self.max_batch_size,
                 min_batch_size=self.min_batch_size,
                 max_batch_size=self.max_adaptive_batch_size,
-                initial_wait_ms=self.max_wait_ms,
-                min_wait_ms=self.min_wait_ms,
-                max_wait_ms=self.max_adaptive_wait_ms,
                 latency_budget_ms=self.policy_latency_budget_ms,
                 hysteresis=self.policy_hysteresis,
                 telemetry=telemetry,

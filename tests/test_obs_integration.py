@@ -74,8 +74,7 @@ def _service(store, byte_server=None, sample_rate=0.0):
         remote = RemoteByteStore(
             RemoteStoreConfig(address=byte_server.address, **FAST_REMOTE))
     cache = ExplanationCache(max_memory_bytes=None, remote=remote)
-    config = ServeConfig(max_batch_size=4, max_wait_ms=1,
-                         obs=ObsConfig(trace_sample_rate=sample_rate))
+    config = ServeConfig(max_batch_size=4, obs=ObsConfig(trace_sample_rate=sample_rate))
     return ExplanationService(store, cache=cache, config=config)
 
 

@@ -9,20 +9,28 @@ The load-bearing guarantees pinned here:
 * real concurrency — N client threads against a batched service receive
   exactly the bytes a serial per-request service produces, while the batcher
   demonstrably coalesces;
+* work-conserving batching — a lone request flushes without any timed
+  wait; requests queued behind a busy worker coalesce in submit order, at
+  most the flush size per flush, with error isolation and shedding intact;
 * cache behaviour — warm vs cold byte-identity, LRU eviction of both tiers
   (shared with the runtime ResultCache), content keys that change with the
   model state;
 * HTTP — a live ``ThreadingHTTPServer`` on an ephemeral port answers every
-  route.
+  route, and refuses a bad ``Content-Length`` or an out-of-range ``k``
+  before any work is done.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import queue
+import socket
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,17 +43,20 @@ from repro.serve import (
     ExplanationService,
     MicroBatcher,
     ModelArtifactStore,
+    QueueFullError,
     ServeConfig,
     probe_batch_parity,
     serve_in_background,
     serve_logits,
 )
+from repro.serve import batcher as batcher_module
 from repro.serve.cache import content_key, response_cache_key
 from repro.serve.engine import (
     draw_request_permutations,
     explain_outputs,
     per_request_explain,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 MODEL_SPECS = {
     "ccnn": {"filters": (8, 16)},
@@ -308,26 +319,65 @@ class TestEngineExactness:
 # Micro-batcher
 # ---------------------------------------------------------------------------
 
+class _HeldFirstFlush:
+    """An ``execute`` whose first flush blocks until ``release`` is set.
+
+    While the worker sits inside that flush, later submits queue behind it:
+    the only way requests coalesce in a work-conserving batcher.
+    """
+
+    def __init__(self, compute=lambda requests: requests):
+        self.compute = compute
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.flushes = []
+
+    def __call__(self, group_key, requests):
+        self.flushes.append(list(requests))
+        if len(self.flushes) == 1:
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        return self.compute(requests)
+
+    def hold(self, batcher, group_key="g"):
+        """Submit the held request; return once the worker is inside it."""
+        future = batcher.submit(group_key, "held")
+        assert self.entered.wait(timeout=5)
+        return future
+
+
 class TestMicroBatcher:
     def test_flush_on_max_batch_size(self):
-        flushes = []
+        execute = _HeldFirstFlush(lambda requests: [value * 2 for value in requests])
+        with MicroBatcher(execute, max_batch_size=4) as batcher:
+            execute.hold(batcher)
+            futures = [batcher.submit("g", value) for value in range(10)]
+            execute.release.set()
+            assert [future.result(timeout=5) for future in futures] == \
+                [2 * value for value in range(10)]
+        # Everything queued behind the held flush goes out in submit order,
+        # at most the flush size per flush.
+        assert execute.flushes == [["held"], [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
-        def execute(group_key, requests):
-            flushes.append(len(requests))
-            return [value * 2 for value in requests]
+    def test_lone_request_flushes_without_waiting(self, monkeypatch):
+        # Work-conserving: an idle worker flushes a lone request at once.  It
+        # may block on an empty queue, never on a timeout for companions.
+        timeouts = []
 
-        with MicroBatcher(execute, max_batch_size=4, max_wait_ms=10_000) as batcher:
-            futures = [batcher.submit("g", value) for value in range(4)]
-            assert [future.result(timeout=5) for future in futures] == [0, 2, 4, 6]
-        assert flushes == [4]
+        class RecordingQueue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                if block and timeout is not None:
+                    timeouts.append(timeout)
+                return super().get(block, timeout)
 
-    def test_flush_on_max_wait(self):
-        def execute(group_key, requests):
-            return requests
-
-        with MicroBatcher(execute, max_batch_size=64, max_wait_ms=5) as batcher:
+        monkeypatch.setattr(batcher_module, "queue",
+                            SimpleNamespace(Queue=RecordingQueue, Empty=queue.Empty))
+        with MicroBatcher(lambda key, requests: requests, max_batch_size=64) as batcher:
             assert batcher.submit("g", "lonely").result(timeout=5) == "lonely"
-        assert batcher.telemetry.snapshot()["flushes_timed_out"] >= 1
+        snapshot = batcher.telemetry.snapshot()
+        assert snapshot["batches_flushed"] == 1
+        assert "flushes_timed_out" not in snapshot
+        assert timeouts == []
 
     def test_groups_never_mix(self):
         seen = {}
@@ -336,7 +386,7 @@ class TestMicroBatcher:
             seen.setdefault(group_key, []).extend(requests)
             return requests
 
-        with MicroBatcher(execute, max_batch_size=8, max_wait_ms=5) as batcher:
+        with MicroBatcher(execute, max_batch_size=8) as batcher:
             futures = [batcher.submit(index % 2, index) for index in range(8)]
             for future in futures:
                 future.result(timeout=5)
@@ -344,29 +394,53 @@ class TestMicroBatcher:
         assert sorted(seen[1]) == [1, 3, 5, 7]
 
     def test_execute_error_fails_every_future(self):
-        def execute(group_key, requests):
+        def explode(requests):
             raise RuntimeError("engine exploded")
 
-        with MicroBatcher(execute, max_batch_size=2, max_wait_ms=10_000) as batcher:
+        execute = _HeldFirstFlush(explode)
+        with MicroBatcher(execute, max_batch_size=2) as batcher:
+            held = execute.hold(batcher)
             futures = [batcher.submit("g", index) for index in range(2)]
-            for future in futures:
+            execute.release.set()
+            for future in [held] + futures:
                 with pytest.raises(RuntimeError, match="engine exploded"):
                     future.result(timeout=5)
+        # The coalesced pair failed, was retried one request at a time, and
+        # each retry failed on its own.
+        assert execute.flushes == [["held"], [0, 1], [0], [1]]
+        assert batcher.telemetry.snapshot()["flush_error_isolations"] == 1
 
     def test_one_bad_request_does_not_poison_companions(self):
-        def execute(group_key, requests):
+        def compute(requests):
             if any(value == "bad" for value in requests):
                 raise ValueError("malformed request")
             return [value * 2 for value in requests]
 
-        with MicroBatcher(execute, max_batch_size=3, max_wait_ms=10_000) as batcher:
+        execute = _HeldFirstFlush(compute)
+        with MicroBatcher(execute, max_batch_size=3) as batcher:
+            execute.hold(batcher)
             good_one = batcher.submit("g", 1)
             bad = batcher.submit("g", "bad")
             good_two = batcher.submit("g", 2)
+            execute.release.set()
             assert good_one.result(timeout=5) == 2
             assert good_two.result(timeout=5) == 4
             with pytest.raises(ValueError, match="malformed request"):
                 bad.result(timeout=5)
+        assert execute.flushes[1] == [1, "bad", 2]  # they did coalesce
+
+    def test_shedding_behind_a_busy_worker(self):
+        execute = _HeldFirstFlush()
+        with MicroBatcher(execute, max_batch_size=8, max_queue_depth=3) as batcher:
+            execute.hold(batcher)  # in flight: 1
+            queued = [batcher.submit("g", index) for index in range(2)]
+            with pytest.raises(QueueFullError) as excinfo:
+                batcher.submit("g", 2)
+            assert excinfo.value.limit == 3
+            execute.release.set()
+            assert [future.result(timeout=5) for future in queued] == [0, 1]
+        assert execute.flushes == [["held"], [0, 1]]
+        assert batcher.telemetry.snapshot()["requests_shed"] == 1
 
     def test_submit_after_close_raises(self):
         batcher = MicroBatcher(lambda key, requests: requests)
@@ -401,8 +475,8 @@ class TestServiceParity:
 
     def test_batched_equals_serial_under_concurrency(self, serve_store,
                                                      tiny_type1_dataset):
-        batched_service = make_service(serve_store, max_batch_size=8, max_wait_ms=20)
-        serial_service = make_service(serve_store, max_batch_size=1, max_wait_ms=0)
+        batched_service = make_service(serve_store, max_batch_size=8)
+        serial_service = make_service(serve_store, max_batch_size=1)
         try:
             batched = self._run_mixed_load(batched_service, tiny_type1_dataset)
             serial = self._run_mixed_load(serial_service, tiny_type1_dataset)
@@ -420,7 +494,7 @@ class TestServiceParity:
         assert snapshot["batches_flushed"] < snapshot["batched_requests"]
 
     def test_cache_warm_vs_cold_byte_identity(self, serve_store, tiny_type1_dataset):
-        service = make_service(serve_store, max_batch_size=4, max_wait_ms=1)
+        service = make_service(serve_store, max_batch_size=4)
         try:
             series = tiny_type1_dataset.X[0]
             cold = service.explain("dcnn-t", series, class_id=1, k=8, seed=3)
@@ -439,7 +513,7 @@ class TestServiceParity:
 
     def test_explain_defaults_to_predicted_class(self, serve_store,
                                                  tiny_type1_dataset):
-        service = make_service(serve_store, max_batch_size=1, max_wait_ms=0)
+        service = make_service(serve_store, max_batch_size=1)
         try:
             series = tiny_type1_dataset.X[0]
             predicted = service.classify("dcnn-t", series).predicted
@@ -573,7 +647,7 @@ class TestExportModelCLI:
 class TestHTTP:
     @pytest.fixture()
     def live_server(self, serve_store):
-        service = make_service(serve_store, max_batch_size=4, max_wait_ms=1)
+        service = make_service(serve_store, max_batch_size=4)
         server, thread = serve_in_background(service)  # ephemeral port
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
@@ -650,11 +724,66 @@ class TestHTTP:
         status, body = self._post(f"{live_server}/nope", {})
         assert status == 404
 
+    @staticmethod
+    def _raw_post(url, content_length):
+        """POST headers only, over a raw socket; ``(status, body)`` or a timeout.
+
+        The socket timeout turns a handler that blocks on the body into a
+        test failure instead of a hang.
+        """
+        host, port = url.rsplit("/", 1)[1].split(":")
+        head = (f"POST /explain HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)  # the server hangs up after replying
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        header, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return int(header.split()[1]), json.loads(body)
+
+    def test_bad_content_length_is_refused_unread(self, live_server):
+        # read(-1) would block until the client hangs up.
+        status, body = self._raw_post(live_server, -1)
+        assert status == 400 and "Content-Length" in body["error"]
+        status, body = self._raw_post(live_server, MAX_BODY_BYTES + 1)
+        assert status == 413 and "exceeds" in body["error"]
+        status, body = self._raw_post(live_server, "abc")
+        assert status == 400 and "Content-Length" in body["error"]
+        # The server still answers afterwards.
+        assert self._get(f"{live_server}/healthz")[0] == 200
+
+    def test_k_out_of_range_reaches_no_flush_and_no_cache(self, serve_store,
+                                                         tiny_type1_dataset):
+        service = make_service(serve_store, max_k=16)
+        server, thread = serve_in_background(service)
+        host, port = server.server_address[:2]
+        try:
+            for k in (service.config.max_k + 1, 0):
+                status, body = self._post(
+                    f"http://{host}:{port}/explain",
+                    {"model": "dcnn-t", "instance": tiny_type1_dataset.X[0].tolist(),
+                     "class_id": 1, "k": k, "seed": 0})
+                assert status == 400 and "k must be between 1 and 16" in body["error"]
+            counters = service.metrics()
+            assert "batches_flushed" not in counters
+            assert "cache_stores" not in counters
+            # Response and per-permutation entries share this cache.
+            assert len(service.cache) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
     def test_non_finite_instances_are_rejected_uncached(self, serve_store,
                                                         tiny_type1_dataset):
         # json.loads accepts NaN/Infinity: they must answer 400, not a
         # partly-NaN heatmap or NaN logits, and must never reach the cache.
-        service = make_service(serve_store, max_batch_size=4, max_wait_ms=1)
+        service = make_service(serve_store, max_batch_size=4)
         server, thread = serve_in_background(service)
         host, port = server.server_address[:2]
         url = f"http://{host}:{port}"

@@ -3,7 +3,7 @@ admission control / load-shedding, and graceful shutdown.
 
 The load-bearing guarantees pinned here:
 
-* the adaptive policy walks its flush bounds with hysteresis and respects
+* the adaptive policy walks its flush size with hysteresis and respects
   the hard clamps, and neither policy ever changes response bytes (adaptive
   == serial byte parity under real concurrency);
 * per-(model, kind) flush workers: one group's slow flush cannot stall
@@ -65,19 +65,17 @@ def make_service(store, **config_kwargs):
 
 class TestStaticPolicy:
     def test_constant_decision(self):
-        policy = StaticBatchPolicy(max_batch_size=8, max_wait_ms=2.0)
-        first = policy.decision(("m", "classify"))
+        policy = StaticBatchPolicy(max_batch_size=8)
+        assert policy.decision(("m", "classify")) == 8
         policy.observe(("m", "classify"), batch_size=8, flush_seconds=10.0,
                        queue_depth=10_000)
-        assert policy.decision(("m", "classify")) == first
-        assert first.max_batch_size == 8
-        assert first.max_wait_s == pytest.approx(0.002)
+        assert policy.decision(("m", "classify")) == 8
+        assert StaticBatchPolicy(max_batch_size=0).decision("g") == 1
 
 
 class TestAdaptivePolicy:
     def make_policy(self, **kwargs):
         defaults = dict(initial_batch_size=8, min_batch_size=1, max_batch_size=64,
-                        initial_wait_ms=2.0, min_wait_ms=0.0, max_wait_ms=8.0,
                         latency_budget_ms=0.0, hysteresis=3, ewma_alpha=1.0)
         defaults.update(kwargs)
         return AdaptiveBatchPolicy(**defaults)
@@ -88,12 +86,10 @@ class TestAdaptivePolicy:
         # Two backlogged observations: not enough (hysteresis = 3).
         for _ in range(2):
             policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key).max_batch_size == 8
+        assert policy.decision(key) == 8
         # The third consecutive signal trips the step.
         policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key).max_batch_size == 16
-        # Under backlog the wait bound collapses to the minimum.
-        assert policy.decision(key).max_wait_s == 0.0
+        assert policy.decision(key) == 16
 
     def test_interrupted_streak_does_not_step(self):
         policy = self.make_policy()
@@ -104,24 +100,21 @@ class TestAdaptivePolicy:
         policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=0)
         policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
         policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key).max_batch_size == 8
+        assert policy.decision(key) == 8
 
     def test_growth_respects_hard_bound(self):
         policy = self.make_policy(max_batch_size=16)
         key = ("m", "explain")
         for _ in range(30):
             policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=1000)
-        assert policy.decision(key).max_batch_size == 16
+        assert policy.decision(key) == 16
 
     def test_shrinks_when_idle_and_respects_floor(self):
         policy = self.make_policy(min_batch_size=2)
         key = ("m", "classify")
         for _ in range(40):
             policy.observe(key, batch_size=1, flush_seconds=0.001, queue_depth=0)
-        decision = policy.decision(key)
-        assert decision.max_batch_size == 2
-        # Idle relaxes the wait back to the initial bound.
-        assert decision.max_wait_s == pytest.approx(0.002)
+        assert policy.decision(key) == 2
 
     def test_latency_budget_shrinks_even_under_backlog(self):
         policy = self.make_policy(latency_budget_ms=10.0)
@@ -130,7 +123,7 @@ class TestAdaptivePolicy:
         # tail latency must win over goodput greed.
         for _ in range(6):
             policy.observe(key, batch_size=8, flush_seconds=0.5, queue_depth=1000)
-        assert policy.decision(key).max_batch_size < 8
+        assert policy.decision(key) < 8
 
     def test_queue_time_over_budget_grows_despite_shallow_queue(self):
         # Flushes are fast but requests sit in the queue far past the budget:
@@ -141,7 +134,7 @@ class TestAdaptivePolicy:
         for _ in range(3):
             policy.observe(key, batch_size=2, flush_seconds=0.002, queue_depth=2,
                            queue_seconds=0.050)
-        assert policy.decision(key).max_batch_size == 16
+        assert policy.decision(key) == 16
 
     def test_shallow_queue_without_queue_time_does_not_grow(self):
         # Control for the test above: the same observations minus the
@@ -150,7 +143,7 @@ class TestAdaptivePolicy:
         key = ("m", "explain")
         for _ in range(3):
             policy.observe(key, batch_size=2, flush_seconds=0.002, queue_depth=2)
-        assert policy.decision(key).max_batch_size <= 8
+        assert policy.decision(key) <= 8
 
     def test_flush_over_budget_still_shrinks_despite_queue_pressure(self):
         # When the flush itself blows the budget, growing would make latency
@@ -160,15 +153,15 @@ class TestAdaptivePolicy:
         for _ in range(6):
             policy.observe(key, batch_size=8, flush_seconds=0.5, queue_depth=1000,
                            queue_seconds=1.0)
-        assert policy.decision(key).max_batch_size < 8
+        assert policy.decision(key) < 8
 
     def test_groups_are_independent(self):
         policy = self.make_policy()
         hot, cold = ("m", "classify"), ("m", "explain")
         for _ in range(6):
             policy.observe(hot, batch_size=8, flush_seconds=0.001, queue_depth=500)
-        assert policy.decision(hot).max_batch_size > 8
-        assert policy.decision(cold).max_batch_size == 8
+        assert policy.decision(hot) > 8
+        assert policy.decision(cold) == 8
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError, match="min_batch_size"):
@@ -193,7 +186,6 @@ class TestCostAwarePolicy:
 
     def make_policy(self, **kwargs):
         defaults = dict(initial_batch_size=8, min_batch_size=1, max_batch_size=64,
-                        initial_wait_ms=2.0, min_wait_ms=0.0, max_wait_ms=8.0,
                         latency_budget_ms=0.0, hysteresis=1, ewma_alpha=1.0)
         defaults.update(kwargs)
         return AdaptiveBatchPolicy(**defaults)
@@ -221,7 +213,7 @@ class TestCostAwarePolicy:
         # queued cost of 400 yields an effective depth of 400 -> grow.
         policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=4,
                        batch_cost=8.0, queue_cost=400.0)
-        assert policy.decision(key).max_batch_size == 16
+        assert policy.decision(key) == 16
 
     def test_heavy_history_discounts_shallow_cheap_queue(self):
         """After heavy flushes, a few cheap stragglers read as idle, not load."""
@@ -232,12 +224,12 @@ class TestCostAwarePolicy:
         for _ in range(3):
             policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=6,
                            batch_cost=800.0, queue_cost=600.0)
-        assert policy.decision(key).max_batch_size == 8
+        assert policy.decision(key) == 8
         # Six cheap requests now queue: effective depth 6/100 -> idle, shrink.
         for _ in range(3):
             policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=6,
                            batch_cost=800.0, queue_cost=6.0)
-        assert policy.decision(key).max_batch_size == 4
+        assert policy.decision(key) == 4
 
     def test_batcher_reports_costs_to_policy(self):
         """submit(cost=...) flows through to observe as batch/queue cost."""
@@ -249,7 +241,7 @@ class TestCostAwarePolicy:
                 observed.append((batch_size, batch_cost, queue_cost))
 
         with MicroBatcher(lambda key, requests: requests,
-                          policy=RecordingPolicy(max_batch_size=4, max_wait_ms=1.0)
+                          policy=RecordingPolicy(max_batch_size=4)
                           ) as batcher:
             key = group_key_of("m", "explain")
             batcher.submit(key, "a", cost=100.0).result(timeout=5)
@@ -284,6 +276,21 @@ class TestServeConfigPolicy:
         assert policy.max_batch_size == 32
         assert policy.hysteresis == 5
 
+    def test_serve_cli_defaults_come_from_serve_config(self):
+        import argparse
+
+        from repro.runtime.cli import _add_serve_arguments
+
+        parser = argparse.ArgumentParser()
+        _add_serve_arguments(parser)
+        args = parser.parse_args(["--store", "unused"])
+        defaults = ServeConfig()
+        assert args.max_batch_size == defaults.max_batch_size
+        assert args.max_adaptive_batch_size == defaults.max_adaptive_batch_size
+        assert args.latency_budget_ms == defaults.policy_latency_budget_ms
+        assert args.max_queue_depth == defaults.max_queue_depth
+        assert args.drain_timeout_s == defaults.drain_timeout_s
+
 
 # ---------------------------------------------------------------------------
 # Per-group flush workers
@@ -299,7 +306,7 @@ class TestPerGroupWorkers:
                 assert release_slow.wait(timeout=10)
             return requests
 
-        with MicroBatcher(execute, max_batch_size=1, max_wait_ms=0) as batcher:
+        with MicroBatcher(execute, max_batch_size=1) as batcher:
             slow = batcher.submit(("slow", "explain"), "s0")
             time.sleep(0.05)  # the slow worker is now blocked inside execute
             fast = [batcher.submit(("fast", "classify"), index) for index in range(4)]
@@ -316,7 +323,7 @@ class TestPerGroupWorkers:
             seen_threads.setdefault(group_key, set()).add(threading.get_ident())
             return requests
 
-        with MicroBatcher(execute, max_batch_size=2, max_wait_ms=1) as batcher:
+        with MicroBatcher(execute, max_batch_size=2) as batcher:
             futures = [batcher.submit(("m", kind), index)
                        for index, kind in enumerate(["classify", "explain"] * 6)]
             for future in futures:
@@ -337,7 +344,7 @@ class TestPerGroupWorkers:
             return requests
 
         policy = AdaptiveBatchPolicy(initial_batch_size=2, max_batch_size=16,
-                                     initial_wait_ms=1.0, hysteresis=1,
+                                     hysteresis=1,
                                      ewma_alpha=1.0, latency_budget_ms=0.0)
         with MicroBatcher(execute, policy=policy) as batcher:
             key = group_key_of("m", "classify")
@@ -360,7 +367,7 @@ class TestAdmissionControl:
             release.wait(timeout=10)
             return requests
 
-        batcher = MicroBatcher(execute, max_batch_size=1, max_wait_ms=0,
+        batcher = MicroBatcher(execute, max_batch_size=1, 
                                max_queue_depth=2)
         try:
             first = batcher.submit("g", 1)   # dequeued, blocked in execute
@@ -386,7 +393,7 @@ class TestAdmissionControl:
 
     def test_depth_gauge_tracks_in_flight(self):
         with MicroBatcher(lambda key, requests: requests, max_batch_size=1,
-                          max_wait_ms=0, max_queue_depth=8) as batcher:
+                          max_queue_depth=8) as batcher:
             batcher.submit(("m", "classify"), 1).result(timeout=5)
             # The slot is released just after the future resolves; poll.
             deadline = time.time() + 2
@@ -409,7 +416,7 @@ class TestAdmissionControl:
                 observed.append(queue_seconds)
 
         with MicroBatcher(lambda key, requests: requests,
-                          policy=RecordingPolicy(max_batch_size=4, max_wait_ms=1.0)
+                          policy=RecordingPolicy(max_batch_size=4)
                           ) as batcher:
             batcher.submit("g", 1).result(timeout=5)
         assert observed
@@ -434,7 +441,7 @@ class TestPriorityShedding:
             release.wait(timeout=10)
             return requests
 
-        batcher = MicroBatcher(execute, max_batch_size=1, max_wait_ms=0,
+        batcher = MicroBatcher(execute, max_batch_size=1, 
                                max_total_depth=4, shed_watermark=0.75)
         try:
             # Three explains fill the priority-0 share: int(4 * 0.75) == 3.
@@ -501,20 +508,30 @@ class TestPriorityShedding:
 
 class TestShutdownDrain:
     def test_queued_requests_complete_on_graceful_close(self):
-        release = threading.Event()
-        served = []
+        entered, release = threading.Event(), threading.Event()
+        flushes = []
 
         def execute(group_key, requests):
-            release.wait(timeout=10)
-            served.extend(requests)
+            flushes.append(list(requests))
+            if len(flushes) == 1:
+                entered.set()
+                assert release.wait(timeout=10)
             return requests
 
-        batcher = MicroBatcher(execute, max_batch_size=4, max_wait_ms=10_000)
+        batcher = MicroBatcher(execute, max_batch_size=4)
+        held = batcher.submit("g", "held")
+        assert entered.wait(timeout=5)  # the worker is inside the first flush
         futures = [batcher.submit("g", index) for index in range(3)]
+        # close() queues its shutdown marker behind the three requests; the
+        # worker's drain must still flush them once the held flush returns.
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
         release.set()
-        batcher.close()  # graceful drain: flushes the partial batch
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert held.result(timeout=1) == "held"
         assert [future.result(timeout=1) for future in futures] == [0, 1, 2]
-        assert sorted(served) == [0, 1, 2]
+        assert flushes == [["held"], [0, 1, 2]]
 
     def test_requests_racing_close_complete_or_fail_fast(self):
         """Submits concurrent with close() never leave a hanging future."""
@@ -523,7 +540,7 @@ class TestShutdownDrain:
             time.sleep(0.001)
             return requests
 
-        batcher = MicroBatcher(execute, max_batch_size=4, max_wait_ms=1)
+        batcher = MicroBatcher(execute, max_batch_size=4)
         outcomes = []
         outcomes_lock = threading.Lock()
 
@@ -560,7 +577,7 @@ class TestShutdownDrain:
             stuck.wait(timeout=30)  # simulates a wedged engine
             return requests
 
-        batcher = MicroBatcher(execute, max_batch_size=1, max_wait_ms=0)
+        batcher = MicroBatcher(execute, max_batch_size=1)
         in_flight = batcher.submit("g", 1)   # worker blocks on this one
         time.sleep(0.05)
         queued = batcher.submit("g", 2)      # still in the queue
@@ -602,9 +619,9 @@ class TestAdaptiveServiceParity:
 
     def test_adaptive_equals_serial_bytes(self, adaptive_store, tiny_type1_dataset):
         adaptive = make_service(adaptive_store, batch_policy="adaptive",
-                                max_batch_size=4, max_wait_ms=4.0,
+                                max_batch_size=4,
                                 policy_hysteresis=1)
-        serial = make_service(adaptive_store, max_batch_size=1, max_wait_ms=0)
+        serial = make_service(adaptive_store, max_batch_size=1)
         try:
             left = self._mixed_load(adaptive, tiny_type1_dataset)
             right = self._mixed_load(serial, tiny_type1_dataset)
@@ -619,7 +636,7 @@ class TestAdaptiveServiceParity:
 
     def test_metrics_expose_adaptive_state(self, adaptive_store, tiny_type1_dataset):
         service = make_service(adaptive_store, batch_policy="adaptive",
-                               max_batch_size=2, max_wait_ms=1.0)
+                               max_batch_size=2)
         try:
             for _ in range(3):
                 service.classify("ccnn-a", tiny_type1_dataset.X[0])
@@ -636,7 +653,7 @@ class TestHTTPBackpressure:
     @pytest.fixture()
     def gated_server(self, adaptive_store):
         """A live server whose explain flushes block until released."""
-        service = make_service(adaptive_store, max_batch_size=1, max_wait_ms=0,
+        service = make_service(adaptive_store, max_batch_size=1, 
                                max_queue_depth=2)
         release = threading.Event()
         inner_execute = service.batcher._execute
