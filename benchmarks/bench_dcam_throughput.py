@@ -4,7 +4,8 @@ Trains a tiny dCNN, then explains a handful of test instances with ``k``
 permutations twice:
 
 * **legacy** — the seed implementation's strategy: one autograd-recording
-  batch-size-1 forward pass per permutation (:func:`_permutation_cam`),
+  batch-size-1 forward pass per permutation (``permutation_cam`` from
+  ``tests/oracles/dcam.py``),
   followed by the per-pair ``M``-transform merge; and
 * **batched** — the production pipeline: micro-batched graph-free forward
   passes under ``inference_mode`` with the vectorised merge.
@@ -28,16 +29,17 @@ import platform
 import sys
 import time
 
-# Allow running straight from a checkout without installing the package.
+# Allow running straight from a checkout without installing the package; the
+# reference oracle lives with the tests.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(_REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_REPO_ROOT, "src"), os.path.join(_REPO_ROOT, "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import numpy as np  # noqa: E402
 
+from oracles.dcam import permutation_cam  # noqa: E402
 from repro.core.dcam import (  # noqa: E402
-    _permutation_cam,
     compute_dcam,
     extract_dcam,
     merge_permutation_cams,
@@ -55,7 +57,7 @@ def compute_dcam_legacy(model, series, class_id, permutations):
     collected = []
     n_correct = 0
     for order in permutations:
-        cam_rows, predicted = _permutation_cam(model, series, class_id, order)
+        cam_rows, predicted = permutation_cam(model, series, class_id, order)
         collected.append((cam_rows, order))
         if predicted == class_id:
             n_correct += 1

@@ -3,8 +3,8 @@
 For one architecture per ``input_kind`` (CNN raw, cCNN channel, dCNN cube —
 override with ``--models``) a tiny model is trained twice on synthetic data:
 
-* **legacy** — the reference per-batch-prepare loop
-  (``TrainingConfig(engine="legacy")``, kept in ``repro.training.legacy``);
+* **legacy** — the reference per-batch-prepare loop (``fit_legacy`` from
+  ``tests/oracles/training.py``);
 * **engine** — the fused pipeline (``repro.training.TrainingEngine``):
   inputs prepared once per fit and gathered into preallocated batch slots,
   fused BatchNorm / conv1d / GAP-dense-cross-entropy autograd nodes, and
@@ -31,16 +31,17 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 
-# Allow running straight from a checkout without installing the package.
+# Allow running straight from a checkout without installing the package; the
+# reference loop lives with the tests.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(_REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_REPO_ROOT, "src"), os.path.join(_REPO_ROOT, "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import numpy as np  # noqa: E402
 
+from oracles.training import fit_legacy  # noqa: E402
 from repro.data.synthetic import make_type1_dataset  # noqa: E402
 from repro.experiments.config import get_scale  # noqa: E402
 from repro.models.base import TrainingConfig  # noqa: E402
@@ -54,8 +55,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 DEFAULT_MODELS = ("cnn", "ccnn", "dcnn", "resnet", "inceptiontime")
 
 
-def train_once(model_name, dataset, scale, config):
-    """Train a freshly seeded model; returns (history, state_dict, seconds)."""
+def train_once(model_name, dataset, scale, config, legacy):
+    """Train a freshly seeded model through the reference loop (``legacy``)
+    or ``model.fit``; returns (history, state_dict, seconds)."""
     model = create_model(model_name, dataset.n_dimensions, dataset.length,
                          dataset.n_classes, rng=np.random.default_rng(0),
                          **scale.model_kwargs(model_name))
@@ -63,7 +65,10 @@ def train_once(model_name, dataset, scale, config):
     gc.disable()
     try:
         start = time.perf_counter()
-        history = model.fit(dataset.X, dataset.y, config=config)
+        if legacy:
+            history = fit_legacy(model, dataset.X, dataset.y, None, config)
+        else:
+            history = model.fit(dataset.X, dataset.y, config=config)
         seconds = time.perf_counter() - start
     finally:
         gc.enable()
@@ -80,9 +85,9 @@ def bench_model(model_name, dataset, scale, args):
 
     # Correctness first: the engine must match the legacy loop bit for bit.
     history_legacy, state_legacy, _ = train_once(
-        model_name, dataset, scale, replace(config, engine="legacy"))
+        model_name, dataset, scale, config, legacy=True)
     history_engine, state_engine, _ = train_once(
-        model_name, dataset, scale, replace(config, engine="fused"))
+        model_name, dataset, scale, config, legacy=False)
     if history_legacy.train_loss != history_engine.train_loss:
         raise SystemExit(f"FAIL [{model_name}]: engine loss curve deviates "
                          "from the legacy loop")
@@ -96,9 +101,9 @@ def bench_model(model_name, dataset, scale, args):
     legacy_times, engine_times = [], []
     for _ in range(args.repeats):
         legacy_times.append(train_once(
-            model_name, dataset, scale, replace(config, engine="legacy"))[2])
+            model_name, dataset, scale, config, legacy=True)[2])
         engine_times.append(train_once(
-            model_name, dataset, scale, replace(config, engine="fused"))[2])
+            model_name, dataset, scale, config, legacy=False)[2])
     legacy_seconds = min(legacy_times)
     engine_seconds = min(engine_times)
     epochs = history_legacy.epochs_run

@@ -16,14 +16,35 @@ The number ``n_g`` of permutations that the model classifies correctly is also
 recorded; ``n_g / k`` is the paper's label-free proxy for explanation quality
 (Sections 4.6 and 5.6).
 
+One pipeline
+------------
+Every dCAM in the package runs through :func:`iter_dcam`:
+:func:`compute_dcam` is :func:`compute_dcam_batch` on a batch of one, which
+is ``list(iter_dcam(...))``, and :class:`repro.explain.dcam.DCAMExplainer`
+iterates the same generator with its permutation cache attached.
+:func:`draw_orders` draws and validates each instance's permutations, off one
+generator instance by instance.  :func:`iter_dcam` then takes instances in
+groups whose permuted series and CAM stacks fit a soft memory cap
+(:func:`_materialize_group`).  Per group it
+
+* looks each permutation row up in the optional byte cache under
+  :func:`permutation_cache_key` (model-state hash, instance bytes, class,
+  permutation); without a cache every row misses;
+* forwards all the group's misses in one :func:`_permutation_cams_batched`
+  call, whose micro-batches cross instance boundaries, and stores them;
+* assembles each instance's result only when the caller asks for the next
+  one, so a caller that drops ``M̄`` holds about one at a time.
+
+Rows are bitwise independent of which other rows share their forward, so a
+cached row, a recomputed row and an uncached run agree bit for bit.
+
 Execution strategy
 ------------------
-Explanation only needs activations, never gradients, so the hot path runs the
-``k`` permuted series through the model in micro-batches under
-:func:`repro.nn.inference_mode`: no autograd graph is recorded.  Both steps
-move more memory than they compute, so both keep their working set
-cache-sized: a micro-batch is as wide as fits a fixed byte budget
-(:func:`_forward_width`), and ``M̄`` is accumulated one permutation's
+Explanation only needs activations, never gradients, so the forwards run
+under :func:`repro.nn.inference_mode`: no autograd graph is recorded.  Both
+the forward and the merge move more memory than they compute, so both keep
+their working set cache-sized: a micro-batch is as wide as fits a fixed byte
+budget (:func:`_forward_width`), and ``M̄`` is accumulated one permutation's
 ``(D, D, n)`` ``M`` transform at a time.
 
 The forwards are independent, and each is a stream of small GEMMs that BLAS
@@ -43,31 +64,36 @@ rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
 data (:func:`repro.nn.functional.cube_conv_bn_relu`) and reads each permuted
 ``(D, n)`` series directly; it agrees with the cube path to float round-off.
 dResNet and dInceptionTime, whose first blocks are not a single
-``Conv → BatchNorm → ReLU``, still get the cube.  :func:`_permutation_cam`
-retains the legacy one-permutation graph-recording cube path as a numerical
-reference for tests and benchmarks.
+``Conv → BatchNorm → ReLU``, still get the cube.  The one-permutation
+graph-recording reference (the paper's algorithm step by step) lives with
+the tests, in ``tests/oracles/dcam.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
+import pickle
 import threading
 from concurrent import futures
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import Conv2d, Tensor, inference_mode
 from ..nn.blas import blas_threads, can_set_threads
-from .input_transform import inverse_order, random_permutations
+from .input_transform import random_permutations
 
 __all__ = [
     "DCAMResult",
     "compute_dcam",
     "compute_dcam_batch",
+    "draw_orders",
+    "iter_dcam",
     "merge_permutation_cams",
+    "permutation_cache_key",
     "permutation_rows",
     "extract_dcam",
     "explanation_quality_proxy",
@@ -123,9 +149,7 @@ def _materialize_group(permutations: int, n_dimensions: int, length: int) -> int
     """How many items of ``permutations`` rows each fit the materialisation cap.
 
     An item's permuted series and CAM stack cost ``~2 · k · D · n · 8`` bytes;
-    the answer is at least 1.  The one accounting behind
-    :func:`compute_dcam_batch`'s instance groups and the cached explainer's
-    instance groups and forward chunks.
+    the answer is at least 1: the instance groups of :func:`iter_dcam`.
     """
     bytes_per_item = 2 * permutations * n_dimensions * length * 8
     return max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_item))
@@ -133,7 +157,7 @@ def _materialize_group(permutations: int, n_dimensions: int, length: int) -> int
 
 @dataclass
 class DCAMResult:
-    """Output of :func:`compute_dcam`.
+    """One instance's dCAM, as :func:`iter_dcam` yields it.
 
     Attributes
     ----------
@@ -172,24 +196,6 @@ class DCAMResult:
     @property
     def length(self) -> int:
         return self.dcam.shape[1]
-
-
-def _permutation_cam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,
-                     order: np.ndarray) -> tuple[np.ndarray, int]:
-    """CAM over the cube rows for one permutation, plus the predicted class.
-
-    Legacy batch-size-1, graph-recording path.  The production pipeline is
-    :func:`_permutation_cams_batched`; this function is kept as the
-    independent numerical reference the equivalence tests compare against.
-    """
-    prepared = model.prepare_input(series[None], order)
-    features = model.features(prepared)
-    pooled = model.gap(features)
-    logits = model.classifier(pooled)
-    weights = model.class_weights[class_id]
-    cam_rows = np.tensordot(weights, features.data[0], axes=(0, 0))  # (D, n)
-    predicted = int(logits.data[0].argmax())
-    return cam_rows, predicted
 
 
 def _require_d_architecture(model: "ConvBackboneClassifier") -> None:
@@ -253,6 +259,27 @@ def _stack_orders(permutations: Sequence[np.ndarray], n_dimensions: int) -> np.n
         index = int(np.flatnonzero(~valid.all(axis=1))[0])
         raise ValueError(f"permutation #{index} is not a permutation of range({n_dimensions})")
     return orders.astype(np.intp, copy=False)
+
+
+def draw_orders(n_instances: int, n_dimensions: int, k: int,
+                rng: Optional[np.random.Generator],
+                permutations: Optional[Sequence[Sequence[np.ndarray]]]) -> List[np.ndarray]:
+    """One validated ``(k_i, D)`` order stack per instance.
+
+    Explicit ``permutations`` (one sequence per instance) override ``k``;
+    otherwise ``k`` are drawn off ``rng`` instance by instance, so a batch
+    draws what the same instances explained one at a time would.
+    """
+    if permutations is not None:
+        if len(permutations) != n_instances:
+            raise ValueError(
+                f"permutations must supply one sequence per instance "
+                f"({n_instances}), got {len(permutations)}"
+            )
+        return [_stack_orders(stack, n_dimensions) for stack in permutations]
+    rng = rng or np.random.default_rng()
+    return [_stack_orders(random_permutations(n_dimensions, k, rng), n_dimensions)
+            for _ in range(n_instances)]
 
 
 def _forward_rows(model, permuted: np.ndarray, class_weights: np.ndarray, cams: np.ndarray,
@@ -321,20 +348,6 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
     for piece in slices:
         piece.result()  # the first error in slice order, once none still writes
     return cams, predicted
-
-
-def _m_transform(cam_rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The ``M`` transformation (Definition 2) for one permutation.
-
-    ``M[d, p, :]`` is the CAM row that contained original dimension ``d`` at
-    position ``p`` of the permuted cube ``C(S_T)``.
-    """
-    n_dimensions = cam_rows.shape[0]
-    slots = inverse_order(order)  # original dimension -> slot in the permuted series
-    positions = np.arange(n_dimensions)
-    # Row containing slot s at position p is (s - p) mod D.
-    rows = (slots[:, None] - positions[None, :]) % n_dimensions  # (D, D)
-    return cam_rows[rows]  # (D, D, n)
 
 
 def permutation_rows(orders: np.ndarray) -> np.ndarray:
@@ -444,17 +457,98 @@ def _assemble_result(cams: np.ndarray, orders: np.ndarray, predicted: np.ndarray
     )
 
 
+def permutation_cache_key(model_hash: str, series: np.ndarray, class_id: int,
+                          order: np.ndarray) -> str:
+    """Content key of one permutation's CAM rows for one (instance, class).
+
+    Folds in the model-state hash, the instance bytes and the permutation, so
+    an entry can only ever replay the exact forward pass that produced it.
+    """
+    return _row_keys(model_hash, series, class_id, [order])[0]
+
+
+def _row_keys(model_hash: str, series: np.ndarray, class_id: int,
+              orders: Sequence[np.ndarray]) -> List[str]:
+    """:func:`permutation_cache_key` of every order, hashing the instance once."""
+    base = hashlib.sha256()
+    base.update(b"dcam-permutation-cam\x00")
+    base.update(model_hash.encode("ascii"))
+    base.update(b"\x00")
+    series = np.ascontiguousarray(series, dtype=np.float64)
+    base.update(str(series.shape).encode("ascii"))
+    base.update(series.tobytes())
+    base.update(f"\x00{int(class_id)}\x00".encode("ascii"))
+    keys = []
+    for order in orders:
+        digest = base.copy()
+        digest.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
+        keys.append(digest.hexdigest())
+    return keys
+
+
+def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequence[int],
+              orders: Sequence[np.ndarray], use_only_correct: bool, batch_size: int,
+              cache=None, model_hash: Optional[str] = None) -> Iterator[DCAMResult]:
+    """The dCAM pipeline: one :class:`DCAMResult` per instance of ``X``, in order.
+
+    ``orders`` holds one ``(k_i, D)`` stack per instance (:func:`draw_orders`);
+    ``X`` and ``class_ids`` are trusted, callers validate them.  Instances go
+    in groups of :func:`_materialize_group`.  With a ``cache`` (any object with
+    ``get(key)`` and ``put(key, blob)``) each row is looked up under
+    :func:`permutation_cache_key` with ``model_hash``; the group's misses
+    (every row without a cache) are forwarded in one
+    :func:`_permutation_cams_batched` call and stored.  Each result is
+    assembled when the caller asks for it.
+    """
+    if model.training:  # eval() walks every module: keep it off the warm path
+        model.eval()
+    n_instances, n_dimensions, length = X.shape
+    counts = [len(stack) for stack in orders]
+    group = _materialize_group(max(counts, default=0), n_dimensions, length)
+    for first in range(0, n_instances, group):
+        last = min(first + group, n_instances)
+        missing = None
+        if cache is not None:
+            keys = [key for index in range(first, last)
+                    for key in _row_keys(model_hash, X[index], class_ids[index], orders[index])]
+            cams = np.empty((len(keys), n_dimensions, length))
+            predicted = np.empty(len(keys), dtype=np.int64)
+            missing = []
+            for row, key in enumerate(keys):
+                blob = cache.get(key)
+                if blob is None:
+                    missing.append(row)
+                else:
+                    cams[row], predicted[row] = pickle.loads(blob)
+        if missing is None or missing:
+            owners = np.repeat(np.arange(first, last), counts[first:last])
+            orders_flat = np.concatenate(orders[first:last])
+            rows = (slice(None) if missing is None or len(missing) == len(owners)
+                    else np.asarray(missing))
+            forwarded = _permutation_cams_batched(
+                model, X[owners[rows, None], orders_flat[rows]],
+                model.class_weights[np.asarray(class_ids)[owners[rows]]], batch_size)
+            if isinstance(rows, slice):
+                cams, predicted = forwarded
+            else:
+                cams[rows], predicted[rows] = forwarded
+            for row in missing or ():
+                cache.put(keys[row], pickle.dumps((cams[row], int(predicted[row])),
+                                                  protocol=pickle.HIGHEST_PROTOCOL))
+        start = 0
+        for index in range(first, last):
+            stop = start + counts[index]
+            yield _assemble_result(cams[start:stop], orders[index], predicted[start:stop],
+                                   class_ids[index], use_only_correct)
+            start = stop
+
+
 def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,
                  k: int = 100, rng: Optional[np.random.Generator] = None,
                  permutations: Optional[Sequence[np.ndarray]] = None,
                  use_only_correct: bool = False,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> DCAMResult:
-    """Compute dCAM for one multivariate series.
-
-    The ``k`` permuted series are evaluated in graph-free micro-batches (see
-    the module docstring), which is several times faster than ``k``
-    independent autograd-recording forward passes while producing maps that
-    agree with the legacy path to float round-off (≤ 1e-10).
+    """Compute dCAM for one multivariate series: :func:`compute_dcam_batch` of one.
 
     Parameters
     ----------
@@ -478,30 +572,16 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         widest, up to the cap, whose largest im2col fits an 8 MiB budget
         (:func:`_forward_width`), so peak memory is bounded by the budget,
         not the cap.  Results are bitwise equal across values (each row's
-        forward does not depend on the width); they agree with the legacy
-        path to float round-off (≤ 1e-10).
+        forward does not depend on the width); they agree with the
+        graph-recording reference to float round-off (≤ 1e-10).
     """
     _require_d_architecture(model)
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ValueError(f"series must be (D, n), got shape {series.shape}")
-    n_dimensions = series.shape[0]
-    _require_dimensions(model, n_dimensions)
-    _require_class(model, class_id)
-    model.eval()
-    if permutations is None:
-        permutations = random_permutations(n_dimensions, k, rng)
-    orders = _stack_orders(permutations, n_dimensions)
-    k = len(orders)
-
-    # Pre-permuting the series is equivalent to passing `order` to
-    # `prepare_input` (the cube build permutes dimensions first), and lets all
-    # k permutations share one stacked array.
-    permuted = series[orders]  # (k, D, n)
-    weights = model.class_weights[class_id]
-    class_weights = np.broadcast_to(weights, (k, weights.shape[0]))
-    cams, predicted = _permutation_cams_batched(model, permuted, class_weights, batch_size)
-    return _assemble_result(cams, orders, predicted, class_id, use_only_correct)
+    return compute_dcam_batch(model, series[None], [class_id], k=k, rng=rng,
+                              permutations=None if permutations is None else [permutations],
+                              use_only_correct=use_only_correct, batch_size=batch_size)[0]
 
 
 def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
@@ -512,16 +592,9 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
                        batch_size: int = DEFAULT_BATCH_SIZE) -> List[DCAMResult]:
     """Compute dCAM for every series of a batch ``(instances, D, n)``.
 
-    The instances' permuted cubes share one micro-batched pipeline, so forward
-    passes are never padded down to a single instance's leftover permutations
-    and the model is driven at full batch width throughout.  Instances are
-    processed in groups sized so that the materialised permuted-series and CAM
-    arrays stay within a soft memory cap.
-
+    Validates the batch and runs :func:`iter_dcam` without a cache.
     ``permutations`` optionally supplies one explicit permutation sequence per
-    instance (overriding ``k``/``rng``), mirroring :func:`compute_dcam`'s
-    parameter.  The serving layer uses this to batch requests that each carry
-    their own permutation seed: instance ``i``'s result then matches
+    instance (overriding ``k``/``rng``); instance ``i``'s result then matches
     ``compute_dcam(model, X[i], class_ids[i], permutations=permutations[i])``.
     Instances may bring different permutation counts.
     """
@@ -531,54 +604,12 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
     if X.ndim != 3:
         raise ValueError(f"X must be (instances, D, n), got shape {X.shape}")
     _require_d_architecture(model)
-    n_instances, n_dimensions, length = X.shape
-    _require_dimensions(model, n_dimensions)
+    _require_dimensions(model, X.shape[1])
     class_ids = [int(c) for c in class_ids]
     for class_id in class_ids:
         _require_class(model, class_id)
-    model.eval()
-
-    if permutations is None:
-        # Draw each instance's permutations in sequence (matching the legacy
-        # one-instance-at-a-time behaviour for a given generator state).
-        rng = rng or np.random.default_rng()
-        per_instance_orders = [
-            _stack_orders(random_permutations(n_dimensions, k, rng), n_dimensions)
-            for _ in range(n_instances)
-        ]
-    else:
-        if len(permutations) != n_instances:
-            raise ValueError(
-                f"permutations must supply one sequence per instance "
-                f"({n_instances}), got {len(permutations)}"
-            )
-        per_instance_orders = [
-            _stack_orders(orders, n_dimensions) for orders in permutations
-        ]
-    counts = [len(orders) for orders in per_instance_orders]
-
-    group = _materialize_group(max(counts, default=0), n_dimensions, length)
-
-    results: List[DCAMResult] = []
-    for first in range(0, n_instances, group):
-        last = min(first + group, n_instances)
-        orders_flat = np.concatenate(per_instance_orders[first:last], axis=0)
-        instance_flat = np.repeat(np.arange(first, last), counts[first:last])
-        permuted_flat = X[instance_flat[:, None], orders_flat]  # (sum k_i, D, n)
-        weights_flat = model.class_weights[np.repeat(class_ids[first:last], counts[first:last])]
-        cams_flat, predicted_flat = _permutation_cams_batched(
-            model, permuted_flat, weights_flat, batch_size
-        )
-        start = 0
-        for index in range(first, last):
-            stop = start + counts[index]
-            results.append(
-                _assemble_result(cams_flat[start:stop], per_instance_orders[index],
-                                 predicted_flat[start:stop], class_ids[index],
-                                 use_only_correct)
-            )
-            start = stop
-    return results
+    orders = draw_orders(len(X), X.shape[1], k, rng, permutations)
+    return list(iter_dcam(model, X, class_ids, orders, use_only_correct, batch_size))
 
 
 def explanation_quality_proxy(result: DCAMResult) -> float:

@@ -38,7 +38,7 @@ from ..obs.exposition import spans_to_json
 from ..obs.metrics import Histogram
 from ..obs.tracing import Span, SpanRing, TraceContext, current
 from ..runtime.spec import WorkUnit, unit_fingerprint
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 from .server import WireServer
 
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..obs.exposition import spans_to_json
 from ..obs.tracing import Tracer
 from ..runtime.eviction import TieredByteStore
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 from . import protocol
 
 #: A request handler: ``(header, payload) -> (response_header, response_payload)``.

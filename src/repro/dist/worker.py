@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 from ..obs.tracing import Tracer, activate, span
 from ..runtime.cache import ResultCache
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 from .client import RemoteStoreConfig, RemoteUnavailableError, WireClient
 
 

@@ -198,8 +198,7 @@ def figure12_epoch_time(scale, *, model_name: str, n_dimensions: int, length: in
     ``history.epoch_seconds``: the fused engine prepares inputs (including the
     D-dependent ``C(T)`` cube of the d-architectures) once *before* its epoch
     loop, so the inner-loop timer alone would drop exactly the input-pipeline
-    cost whose scaling this figure reproduces.  The legacy loop pays the same
-    cost inside its batches; the outer wall clock covers both fairly.
+    cost whose scaling this figure reproduces.
     """
     config = SyntheticConfig(n_dimensions=n_dimensions,
                              n_instances_per_class=n_instances // 2,
@@ -212,8 +211,7 @@ def figure12_epoch_time(scale, *, model_name: str, n_dimensions: int, length: in
                          dataset.n_classes, rng=rng, **scale.model_kwargs(model_name))
     training = TrainingConfig(epochs=1, batch_size=scale.training.batch_size,
                               learning_rate=scale.training.learning_rate,
-                              patience=10, random_state=seed,
-                              engine=scale.training.engine)
+                              patience=10, random_state=seed)
     start = time.perf_counter()
     model.fit(dataset.X, dataset.y, config=training)
     return time.perf_counter() - start
@@ -243,8 +241,8 @@ def figure12_convergence(scale, *, model_name: str, n_dimensions: int,
                                base_seed)
     _, history = train_model(model_name, train, scale, random_state=base_seed)
     epochs_needed = history.epochs_to_fraction_of_best(0.9)
-    # prepare_seconds is the engine's hoisted input-pipeline cost (the legacy
-    # loop pays it inside the epochs); reaching any epoch requires it.
+    # prepare_seconds is the engine's hoisted input-pipeline cost; reaching
+    # any epoch requires it.
     seconds = float(history.prepare_seconds
                     + np.sum(history.epoch_seconds[:epochs_needed]))
     return {

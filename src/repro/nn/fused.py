@@ -16,13 +16,13 @@ broadcast gradients are materialised with ``broadcast_to(...).astype`` exactly
 like ``Tensor.sum``'s backward does), and same gradient accumulation order as
 :meth:`Tensor.backward`'s reverse-topological walk produces for the composed
 subgraph.  Training through these kernels is therefore float-identical to the
-legacy loop — loss curves, early-stopping epochs and final weights match bit
+composed-graph reference loop (``tests/oracles/training.py``) — loss curves, early-stopping epochs and final weights match bit
 for bit, which ``tests/test_training_engine.py`` pins for one architecture
 per input kind.
 
 The kernels are only taken inside a :func:`fused_training` context (entered
-by :class:`repro.training.TrainingEngine`); plain ``model.fit`` via the
-legacy loop and all inference paths are unaffected.
+by :class:`repro.training.TrainingEngine`); all inference paths are
+unaffected.
 """
 
 from __future__ import annotations

@@ -29,9 +29,6 @@ observability layer shared by every subsystem:
 Everything here is **out of band**: response bytes, cache keys and fleet
 results are byte-identical with tracing on or off (pinned by tests), and
 ``benchmarks/bench_obs_overhead.py`` gates the hot-path overhead.
-
-``repro.telemetry`` remains as a compatibility shim re-exporting the metric
-primitives, so existing imports keep working unchanged.
 """
 
 from .config import ObsConfig

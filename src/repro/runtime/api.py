@@ -7,7 +7,7 @@ executor (serial by default, a process pool via
 unit order, so a driver is just a spec-builder plus a result-assembler.
 
 Long sweeps can observe progress through two hooks: a shared
-:class:`~repro.telemetry.Telemetry` registry (unit counters plus the total
+:class:`~repro.obs.Telemetry` registry (unit counters plus the total
 execution wall clock — the same primitive the serving layer's ``/metrics``
 endpoint renders) and an ``on_unit`` callback fired as every unit resolves,
 cached or executed.
@@ -19,7 +19,7 @@ import contextlib
 import contextvars
 from typing import Any, Iterator, List, Optional, Tuple
 
-from ..telemetry import ProgressHook, Telemetry
+from ..obs import ProgressHook, Telemetry
 from .cache import ResultCache
 from .executor import Executor, SerialExecutor
 from .registry import execute_payload

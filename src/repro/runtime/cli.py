@@ -282,8 +282,6 @@ def _build_scale(args: argparse.Namespace):
     training_overrides = {}
     if args.epochs is not None:
         training_overrides["epochs"] = args.epochs
-    if args.engine is not None:
-        training_overrides["engine"] = args.engine
     if args.precision is not None:
         training_overrides["precision"] = args.precision
     if training_overrides:
@@ -365,18 +363,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, metavar="K", help="override the scale's dCAM permutation count")
     parser.add_argument("--epochs", type=int, metavar="N", help="override the scale's training epochs")
     parser.add_argument(
-        "--engine",
-        choices=["fused", "legacy"],
-        help="training engine: the fused prepare-once pipeline "
-        "(default) or the reference legacy loop "
-        "(float-identical, for cross-checking)",
-    )
-    parser.add_argument(
         "--precision",
         choices=["float64", "float32"],
         help="training compute precision: float64 (the "
         "bit-exact reference, default) or float32 (the "
-        "opt-in fast tier; requires the fused engine)",
+        "opt-in fast tier)",
     )
     parser.add_argument(
         "--progress",
@@ -464,7 +455,7 @@ def _command_run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         if args.progress:
-            from ..telemetry import Telemetry
+            from ..obs import Telemetry
             from .api import progress_hooks
 
             telemetry = Telemetry()
@@ -665,11 +656,11 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--policy",
-        default="adaptive",
+        default=defaults.batch_policy,
         choices=["static", "adaptive"],
         help="batching policy: a fixed flush size, or a "
         "feedback-driven size adapted to observed "
-        "queue depth / flush latency (default: adaptive)",
+        "queue depth / flush latency (default: %(default)s)",
     )
     parser.add_argument(
         "--max-adaptive-batch-size",
@@ -1120,7 +1111,7 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
 def _command_worker(args: argparse.Namespace) -> int:
     from ..dist.worker import default_worker_id, run_worker
     from ..obs.tracing import Tracer
-    from ..telemetry import Telemetry
+    from ..obs import Telemetry
 
     cache = (
         ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.tracing import TraceContext, activate, current, span
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 from .policy import BatchPolicy, StaticBatchPolicy
 
 #: Default flush size: the most requests one engine call takes.

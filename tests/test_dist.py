@@ -48,7 +48,7 @@ from repro.runtime import ExperimentSpec, ResultCache, SerialExecutor, WorkUnit,
 from repro.runtime.eviction import TieredByteStore
 from repro.runtime.executor import executor_label
 from repro.serve.store import ModelArtifactStore
-from repro.telemetry import Telemetry
+from repro.obs import Telemetry
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 Pinned here: the permutation-at-a-time merge equals the one-gather merge bit
 for bit, the forward width stays within ``[1, batch_size]`` and shrinks at
-paper scale, dCAM does not depend on the width cap, the cached explainer's
-chunks stay aligned to the width it runs, and a paper-scale explanation's
-peak allocation stays bounded.
+paper scale, dCAM does not depend on the width cap, a cold cached explainer
+matches the uncached pipeline at a width that does not divide the cap, and a
+paper-scale explanation's peak allocation stays bounded.
 """
 
 import tracemalloc
@@ -115,13 +115,14 @@ def test_dcam_is_bitwise_independent_of_the_width_cap(make_model):
         assert result.n_correct == results[0].n_correct
 
 
-def test_cold_cache_chunks_align_to_a_width_that_does_not_divide_the_cap(monkeypatch):
+def test_cold_cache_matches_uncached_at_a_width_that_does_not_divide_the_cap(monkeypatch):
     model = DCNNClassifier(5, LENGTH, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
     X = np.random.default_rng(1).standard_normal((4, 5, LENGTH))
     class_ids = [0, 1, 2, 1]
     permutations = [random_permutations(5, 25, np.random.default_rng(seed)) for seed in range(4)]
-    # Width 3 under a cap of 8; each instance's 25 missing rows are forwarded
-    # in chunks of at most 10 rows, cut at 9 so the partition stays 3, 3, ...
+    # Width 3 under a cap of 8, and a materialisation cap small enough that
+    # every instance is its own group: each group's 25 missing rows go
+    # through one forward call of widths 3, 3, ..., 1.
     per_item = 8 * 4 * 3 * 5 * LENGTH  # block 2's im2col: 4 channels · ℓ=3 over D·n
     monkeypatch.setattr(core_dcam, "_FORWARD_BYTES", 3 * per_item)
     monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 10 * 2 * 5 * LENGTH * 8)

@@ -226,14 +226,6 @@ class TestFloat32Tier:
             model.fit(tiny_type1_dataset.X, tiny_type1_dataset.y,
                       config=TrainingConfig(epochs=1, precision="float16"))
 
-    def test_float32_requires_fused_engine(self, tiny_type1_dataset):
-        model = CNNClassifier(tiny_type1_dataset.n_dimensions, tiny_type1_dataset.length,
-                              tiny_type1_dataset.n_classes, filters=(4, 8))
-        with pytest.raises(ValueError, match="fused"):
-            model.fit(tiny_type1_dataset.X, tiny_type1_dataset.y,
-                      config=TrainingConfig(epochs=1, engine="legacy",
-                                            precision="float32"))
-
     def test_float32_fit_runs_in_single_precision(self, tiny_type1_dataset):
         model = CNNClassifier(tiny_type1_dataset.n_dimensions, tiny_type1_dataset.length,
                               tiny_type1_dataset.n_classes, filters=(4, 8),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import CNNClassifier, DCNNClassifier, GRUClassifier, TrainingConfig
 from repro.models.base import TrainingHistory
+from oracles.training import fit_legacy
 from repro.nn import load_state_dict, save_state_dict
 
 
@@ -100,6 +101,13 @@ _INVALID_SETS = [
 ]
 
 
+def _fit(engine, model, X, y, validation_data, config):
+    """``model.fit``, or the reference loop it must agree with."""
+    if engine == "legacy":
+        return fit_legacy(model, X, y, validation_data, config)
+    return model.fit(X, y, validation_data=validation_data, config=config)
+
+
 @pytest.mark.parametrize("engine", ["fused", "legacy"])
 class TestFitValidation:
     @pytest.mark.parametrize("case, bad_X, bad_y, message", _INVALID_SETS,
@@ -108,9 +116,9 @@ class TestFitValidation:
         X, y = _separable_problem(n=16)
         model = CNNClassifier(3, 20, 2, filters=(4,), rng=np.random.default_rng(0))
         before = {key: value.copy() for key, value in model.state_dict().items()}
-        config = TrainingConfig(epochs=2, batch_size=8, random_state=0, engine=engine)
+        config = TrainingConfig(epochs=2, batch_size=8, random_state=0)
         with pytest.raises(ValueError, match="^training set .*" + message):
-            model.fit(bad_X(X), bad_y(y), config=config)
+            _fit(engine, model, bad_X(X), bad_y(y), None, config)
         for key, value in model.state_dict().items():
             assert np.array_equal(value, before[key]), key
 
@@ -119,9 +127,9 @@ class TestFitValidation:
     def test_invalid_validation_data_raises(self, engine, case, bad_X, bad_y, message):
         X, y = _separable_problem(n=16)
         model = CNNClassifier(3, 20, 2, filters=(4,), rng=np.random.default_rng(0))
-        config = TrainingConfig(epochs=2, batch_size=8, random_state=0, engine=engine)
+        config = TrainingConfig(epochs=2, batch_size=8, random_state=0)
         with pytest.raises(ValueError, match="^validation_data .*" + message):
-            model.fit(X, y, validation_data=(bad_X(X), bad_y(y)), config=config)
+            _fit(engine, model, X, y, (bad_X(X), bad_y(y)), config)
 
 
 class TestScoringAndSerialization:

@@ -13,7 +13,7 @@ from repro.core import (
     random_permutations,
     rotation_order,
 )
-from repro.core.dcam import _m_transform
+from oracles.dcam import m_transform
 from repro.eval import pr_auc
 
 DIMS = st.integers(min_value=2, max_value=8)
@@ -89,7 +89,7 @@ def test_m_transform_constant_cam_gives_constant_m(n_dims, length, seed):
     cam_row = rng.standard_normal(length)
     cam_rows = np.tile(cam_row, (n_dims, 1))
     order = rng.permutation(n_dims)
-    transformed = _m_transform(cam_rows, order)
+    transformed = m_transform(cam_rows, order)
     assert transformed.shape == (n_dims, n_dims, length)
     for dimension in range(n_dims):
         for position in range(n_dims):
@@ -114,7 +114,7 @@ def test_merge_permutation_cams_identity_average(n_dims, length, seed):
     rng = np.random.default_rng(seed)
     cam_rows = rng.standard_normal((n_dims, length))
     order = rng.permutation(n_dims)
-    single = _m_transform(cam_rows, order)
+    single = m_transform(cam_rows, order)
     merged = merge_permutation_cams([(cam_rows, order), (cam_rows, order)])
     np.testing.assert_allclose(merged, single)
 

@@ -290,6 +290,7 @@ class TestServeConfigPolicy:
         assert args.latency_budget_ms == defaults.policy_latency_budget_ms
         assert args.max_queue_depth == defaults.max_queue_depth
         assert args.drain_timeout_s == defaults.drain_timeout_s
+        assert args.policy == defaults.batch_policy
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 from repro.runtime import ResultCache, progress_hooks, run
 from repro.runtime.registry import register_work
 from repro.runtime.spec import ExperimentSpec, WorkUnit
-from repro.telemetry import Counter, Telemetry, Timer
+from repro.obs import Counter, Telemetry, Timer
 
 
 @register_work("telemetry_probe_unit")
@@ -130,7 +130,7 @@ class TestRunHooks:
 
 
 def test_null_telemetry_helper():
-    from repro.telemetry import null_telemetry
+    from repro.obs import null_telemetry
 
     telemetry = Telemetry()
     assert null_telemetry(telemetry) is telemetry

@@ -1,7 +1,7 @@
 """Parity and plumbing tests of the fused training engine.
 
-The engine's contract is *float-identity* with the legacy per-batch-prepare
-loop: same rng consumption, same loss curves, same early-stopping epochs,
+The engine's contract is *float-identity* with the per-batch-prepare
+reference loop (``tests/oracles/training.py``): same rng consumption, same loss curves, same early-stopping epochs,
 bitwise-equal final weights.  These tests pin that for one architecture per
 ``input_kind`` (raw / channel / cube), for the non-fused fallback paths
 (grad-CAM and recurrent architectures), for early stopping and gradient
@@ -20,7 +20,8 @@ from repro.models.registry import create_model
 from repro.nn import Tensor, Workspace
 from repro.nn.fused import batch_norm_training
 from repro.nn.layers import BatchNorm
-from repro.training import PreparedInputs, TrainingEngine, fit_legacy
+from oracles.training import fit_legacy
+from repro.training import PreparedInputs, TrainingEngine
 
 MODEL_KWARGS = {
     "cnn": {"filters": (4, 6)},
@@ -61,11 +62,13 @@ def fit_both(name, config, validation=True, n=24, **data_kwargs):
     X, y = make_data(n=n, **data_kwargs)
     val = (X[: max(4, n // 4)], y[: max(4, n // 4)]) if validation else None
     results = []
-    for engine in ("legacy", "fused"):
+    for legacy in (True, False):
         model = make_model(name, n_dimensions=data_kwargs.get("n_dimensions", 3),
                            length=data_kwargs.get("length", 16))
-        cfg = TrainingConfig(**{**vars(config), "engine": engine})
-        history = model.fit(X, y, validation_data=val, config=cfg)
+        if legacy:
+            history = fit_legacy(model, X, y, val, config)
+        else:
+            history = model.fit(X, y, validation_data=val, config=config)
         results.append((history, model.state_dict()))
     return results
 
@@ -141,12 +144,6 @@ class TestEngineParity:
     def test_weight_decay(self):
         legacy, fused = fit_both("cnn", TrainingConfig(**BASE, weight_decay=1e-3))
         assert_parity(legacy, fused)
-
-    def test_unknown_engine_rejected(self):
-        X, y = make_data()
-        model = make_model("cnn")
-        with pytest.raises(ValueError, match="unknown training engine"):
-            model.fit(X, y, config=TrainingConfig(**BASE, engine="turbo"))
 
     def test_shape_validation(self):
         model = make_model("cnn")
