@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..nn import BatchNorm, Conv1d, Conv2d, Identity, Module, ReLU, Tensor
+from ..nn import BatchNorm, Conv1d, Conv2d, Identity, Module, ReLU, Tensor, is_grad_enabled
 from ..nn import functional as F
 from ..nn import fused as _fused
 from .conv_common import ChannelInputMixin, ConvBackboneClassifier, CubeInputMixin
@@ -68,8 +68,9 @@ class InceptionModule(Module):
         self.out_channels = n_filters * (len(kernel_sizes) + 1)
 
     def _max_pool(self, x: Tensor) -> Tensor:
-        # "Same" max pooling with window 3: pad then pool with stride 1.
-        if _fused.is_fused_training():
+        # "Same" max pooling, window 3: one exact node (max does not round)
+        # unless the composed training graph is recorded, which pads and pools.
+        if _fused.is_fused_training() or not (is_grad_enabled() and x.requires_grad):
             return _fused.same_max_pool3(x)
         if self.two_dimensional:
             padded = x.pad(((0, 0), (0, 0), (0, 0), (1, 1)))

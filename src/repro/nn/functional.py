@@ -3,13 +3,14 @@
 The convolution implementations use an im2col / col2im strategy so that the
 heavy lifting is done by vectorised NumPy matrix multiplications, which keeps
 CPU-only training of the paper's architectures tractable.  One row-layout
-:func:`_im2col` ``(B, C·kh·kw, out_h·out_w)`` serves both the training conv
-and the inference row kernel: ``W.reshape(O, -1) @ cols`` lands contiguous
-NCHW, so the BatchNorm, ReLU and residual nodes that follow a training conv
-(and their gradients) run on contiguous memory.
+:func:`_im2col` ``(B, C·kh·kw, out_h·out_w)`` serves every conv, training and
+inference: ``W.reshape(O, -1) @ cols`` lands contiguous NCHW, so the
+BatchNorm, ReLU and residual nodes that follow a training conv (and their
+gradients) run on contiguous memory.
 
 At inference every ``(1, ℓ)`` row block runs one stacked-GEMM kernel landing
-contiguous NCHW (:func:`fused_conv_bn_relu`); other convs run an ``einsum``.
+contiguous NCHW (:func:`fused_conv_bn_relu`); other convs run the training
+conv's forward (:func:`_conv2d_forward`) without its backward closure.
 """
 
 from __future__ import annotations
@@ -140,22 +141,6 @@ def _col2im(
 # Convolutions
 # ---------------------------------------------------------------------------
 
-#: Contraction plans for the inference conv einsum, keyed by operand shapes
-#: (path planning costs ~5-10% of a small forward pass if repeated every call).
-_conv_einsum_paths: dict = {}
-
-
-def _conv_einsum_path(windows: np.ndarray, weight: np.ndarray):
-    key = (windows.shape, weight.shape)
-    path = _conv_einsum_paths.get(key)
-    if path is None:
-        if len(_conv_einsum_paths) > 256:
-            _conv_einsum_paths.clear()
-        path = np.einsum_path("bcxyij,ocij->boxy", windows, weight, optimize=True)[0]
-        _conv_einsum_paths[key] = path
-    return path
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -174,8 +159,7 @@ def conv2d(
     bias:
         Optional bias of shape ``(out_channels,)``.
     """
-    batch = x.shape[0]
-    out_channels, in_channels, kh, kw = weight.shape
+    in_channels = weight.shape[1]
     if x.shape[1] != in_channels:
         raise ValueError(
             f"input has {x.shape[1]} channels but weight expects {in_channels}"
@@ -185,53 +169,57 @@ def conv2d(
         or (bias is not None and bias.requires_grad)
     )
     if not needs_grad:
-        # Allocation-light inference path: contract the strided patch view
-        # directly (no im2col, no backward closure).  The result is a
-        # channels-last view transposed to NCHW, not contiguous NCHW.
-        windows, _ = _conv_windows(x.data, (kh, kw), stride, padding)
-        out = np.einsum("bcxyij,ocij->boxy", windows, weight.data,
-                        optimize=_conv_einsum_path(windows, weight.data))
-        if bias is not None:
-            out += bias.data.reshape(1, out_channels, 1, 1)
+        out, _ = _conv2d_forward(x.data, weight.data, None if bias is None else bias.data,
+                                 stride, padding)
         return Tensor(out, name="conv2d")
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out, backward = _conv2d_train(x.data, weight.data, weight.shape,
-                                  None if bias is None else bias.data,
+    out, backward = _conv2d_train(x.data, weight.data, None if bias is None else bias.data,
                                   stride, padding, x.requires_grad)
     return Tensor._make(out, parents, backward, name="conv2d")
 
 
+def _conv2d_forward(x_data: np.ndarray, weight_data: np.ndarray,
+                    bias_data: Optional[np.ndarray], stride: Tuple[int, int],
+                    padding: Tuple[int, int], workspace=None):
+    """The one conv2d forward, training and inference: ``(out, cols)``.
+
+    ``out = W.reshape(O, -1) @ cols`` (+ bias) over the row-layout
+    :func:`_im2col` ``cols`` lands contiguous NCHW.  Each batch item is its own
+    GEMM of one shape, so a row's bits do not depend on the batch width.
+    """
+    out_channels, _, kh, kw = weight_data.shape
+    cols, (out_h, out_w) = _im2col(x_data, (kh, kw), stride, padding, workspace)
+    out = np.matmul(weight_data.reshape(out_channels, -1), cols)
+    if bias_data is not None:
+        out += bias_data.reshape(1, out_channels, 1)
+    return out.reshape(x_data.shape[0], out_channels, out_h, out_w), cols
+
+
 def _conv2d_train(x_data: np.ndarray, weight_data: np.ndarray,
-                  weight_shape: Tuple[int, ...], bias_data: Optional[np.ndarray],
-                  stride: Tuple[int, int], padding: Tuple[int, int],
-                  need_input_grad: bool):
+                  bias_data: Optional[np.ndarray], stride: Tuple[int, int],
+                  padding: Tuple[int, int], need_input_grad: bool):
     """Training-path conv2d on plain arrays: forward value + backward closure.
 
     Shared by :func:`conv2d` and the fused-training :func:`conv1d` node.  The
-    forward is ``W.reshape(O, -1) @ cols`` over the row-layout :func:`_im2col`,
-    so the output lands contiguous NCHW and the BatchNorm, ReLU and residual
+    forward is :func:`_conv2d_forward`, so the BatchNorm, ReLU and residual
     nodes downstream (and their gradients) reduce contiguous memory.  The
     input gradient (a full matmul plus a col2im scatter) is skipped when the
     input does not require it — the first layer of every architecture — which
     is invisible to the autograd walk (``None`` parent gradients are dropped).
     Scratch buffers come from the active fused-training workspace, if any.
     """
-    out_channels, _, kh, kw = weight_shape
+    out_channels, _, kh, kw = weight_data.shape
     batch = x_data.shape[0]
     workspace = _fused.active_workspace() if _fused.is_fused_training() else None
-    cols, (out_h, out_w) = _im2col(x_data, (kh, kw), stride, padding, workspace)
+    out, cols = _conv2d_forward(x_data, weight_data, bias_data, stride, padding, workspace)
     weight_2d = weight_data.reshape(out_channels, -1)
-    out = np.matmul(weight_2d, cols)  # (batch, out_channels, out_h * out_w)
-    if bias_data is not None:
-        out += bias_data.reshape(1, out_channels, 1)
-    out = out.reshape(batch, out_channels, out_h, out_w)
     input_shape = x_data.shape
 
     def backward(grad: np.ndarray):
         # grad: (batch, out_channels, out_h, out_w)
         g = grad.reshape(batch, out_channels, -1)
-        grad_weight = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight_shape)
+        grad_weight = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight_data.shape)
         if need_input_grad:
             grad_input = _col2im(np.matmul(weight_2d.T, g), input_shape, (kh, kw),
                                  stride, padding, workspace)
@@ -377,10 +365,8 @@ def conv1d(
             raise ValueError(
                 f"input has {x.shape[1]} channels but weight expects {weight.shape[1]}"
             )
-        out_channels = weight.shape[0]
         out4, backward4 = _conv2d_train(
             x.data[:, :, None, :], weight.data[:, :, None, :],
-            (out_channels, weight.shape[1], 1, weight.shape[2]),
             None if bias is None else bias.data,
             (1, stride), (0, padding), x.requires_grad,
         )
@@ -411,23 +397,10 @@ def max_pool2d(x: Tensor, kernel: Tuple[int, int], stride: Optional[Tuple[int, i
     stride = stride or kernel
     kh, kw = kernel
     sh, sw = stride
-    batch, channels, height, width = x.shape
-    out_h = (height - kh) // sh + 1
-    out_w = (width - kw) // sw + 1
-    s0, s1, s2, s3 = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(batch, channels, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
-        writeable=False,
-    )
+    windows, _ = _conv_windows(x.data, kernel, stride, (0, 0))
     out = windows.max(axis=(4, 5))
-    if not (is_grad_enabled() and x.requires_grad):
-        # Inference path: the argmax bookkeeping below exists only for backward.
-        return Tensor(out, name="max_pool2d")
     # indices of maxima for backward
-    flat = windows.reshape(batch, channels, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)
+    argmax = windows.reshape(windows.shape[:4] + (kh * kw,)).argmax(axis=-1)
     input_shape = x.shape
 
     def backward(grad: np.ndarray):

@@ -10,19 +10,20 @@ topological walk.  The kernels here collapse those subgraphs into single
 autograd nodes with hand-written backward closures.
 
 **Bit-exactness contract.**  Every kernel replays the *exact* floating-point
-operations of the composed graph it replaces — same operation order, same
-operand construction (reductions are sensitive to operand memory layout, so
-broadcast gradients are materialised with ``broadcast_to(...).astype`` exactly
-like ``Tensor.sum``'s backward does), and same gradient accumulation order as
-:meth:`Tensor.backward`'s reverse-topological walk produces for the composed
-subgraph.  Training through these kernels is therefore float-identical to the
-composed-graph reference loop (``tests/oracles/training.py``) — loss curves, early-stopping epochs and final weights match bit
-for bit, which ``tests/test_training_engine.py`` pins for one architecture
-per input kind.
+operations of the composed graph it replaces, in the same order, with the
+gradient accumulation order of :meth:`Tensor.backward`'s reverse-topological
+walk.  Reductions round by their operand's memory layout, so an operand a
+reduction reads is materialised in the composed graph's layout; a broadcast
+may stay unmaterialised, and a result be written in place (``out=``), only
+where every consumer is elementwise.  Training through these kernels is
+therefore float-identical to the composed-graph reference loop
+(``tests/oracles/training.py``) — loss curves, early-stopping epochs and
+final weights match bit for bit, which ``tests/test_training_engine.py``
+pins for one architecture per input kind.
 
 The kernels are only taken inside a :func:`fused_training` context (entered
-by :class:`repro.training.TrainingEngine`); all inference paths are
-unaffected.
+by :class:`repro.training.TrainingEngine`), except :func:`same_max_pool3`,
+which the inception pool branch also runs at inference.
 """
 
 from __future__ import annotations
@@ -121,22 +122,26 @@ def _batch_norm_node(bn, xd: np.ndarray, relu: bool):
     # the identical sum, so sharing it is bit-neutral).
     sum1 = xd.sum(axis=axes, keepdims=True)
     batch_mean = sum1.reshape(bn.num_features) / count
-    centered_np = xd - sum1 / count
-    batch_var = (centered_np * centered_np).sum(axis=axes) / count
+    # One scratch (xd's layout) holds both squared deviations, then `normalized`.
+    scratch = np.subtract(xd, sum1 / count)
+    np.multiply(scratch, scratch, out=scratch)
+    batch_var = scratch.sum(axis=axes) / count
     bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * batch_mean
     bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * batch_var
 
     mean = sum1 * scale
     c = xd - mean
-    var = (c * c).sum(axis=axes, keepdims=True) * scale
+    np.multiply(c, c, out=scratch)
+    var = scratch.sum(axis=axes, keepdims=True) * scale
     ve = var + np.asarray(bn.eps, dtype=xd.dtype)
     sd = ve ** 0.5
-    normalized = c / sd
+    normalized = np.divide(c, sd, out=scratch)
     w_r = bn.weight.data.reshape(shape)
-    out_data = normalized * w_r + bn.bias.data.reshape(shape)
+    out_data = normalized * w_r
+    out_data += bn.bias.data.reshape(shape)
     if relu:
         relu_mask = out_data > 0
-        out_data = out_data * relu_mask
+        np.multiply(out_data, relu_mask, out=out_data)
 
     weight, bias = bn.weight, bn.bias
     full_shape, dtype = xd.shape, xd.dtype
@@ -145,27 +150,38 @@ def _batch_norm_node(bn, xd: np.ndarray, relu: bool):
         if relu:
             g = g * relu_mask
         g_bias = g.sum(axis=axes, keepdims=True).reshape(bias.data.shape)
-        g_norm = g * w_r
-        g_weight = (g * normalized).sum(axis=axes, keepdims=True).reshape(weight.data.shape)
+        scratch = g * normalized
+        g_weight = scratch.sum(axis=axes, keepdims=True).reshape(weight.data.shape)
+        # g_norm = g * w_r, written over the masked copy (dead from here on).
+        g_d = np.multiply(g, w_r, out=g if relu else None)
+        # sd-path: (-g_norm * c / sd ** 2).sum, replayed in the scratch.
+        np.negative(g_d, out=scratch)
+        np.multiply(scratch, c, out=scratch)
+        np.divide(scratch, sd ** 2, out=scratch)
+        g_sd = scratch.sum(axis=axes, keepdims=True)
         # d-path: normalized = d / sd
-        g_d = g_norm / sd
-        g_sd = (-g_norm * c / (sd ** 2)).sum(axis=axes, keepdims=True)
+        np.divide(g_d, sd, out=g_d)
         g_ve = g_sd * 0.5 * ve ** (0.5 - 1)
-        # var-path: var = (c * c).sum * scale; the composed sum backward
-        # materialises the broadcast (layout matters for the reductions and
-        # elementwise ops downstream).
-        g_sq = np.broadcast_to(g_ve * scale, full_shape).astype(dtype)
-        p = g_sq * c
-        g_c = p + p  # c appears twice as a parent of c * c
-        g_mean2 = (-g_c).sum(axis=axes, keepdims=True)
-        g_mean1 = (-g_d).sum(axis=axes, keepdims=True)
-        t_mean1 = np.broadcast_to(g_mean1 * scale, full_shape).astype(dtype)
-        t_mean2 = np.broadcast_to(g_mean2 * scale, full_shape).astype(dtype)
-        # Accumulation order of the reverse-topological walk.
-        g_x = ((g_d + t_mean1) + g_c) + t_mean2
-        return (g_x, g_weight, g_bias)
+        # var-path: var = (c * c).sum * scale.  The composed product of c with
+        # the sum backward's materialised broadcast lands C-ordered, so g_c does.
+        g_c = np.multiply(g_ve * scale, c, out=np.empty(full_shape, dtype))
+        np.add(g_c, g_c, out=g_c)  # c appears twice as a parent of c * c
+        g_mean2 = _negated_sum(g_c, scratch, axes)
+        g_mean1 = _negated_sum(g_d, scratch, axes)
+        # g_x in g_d, in the walk's order ((g_d + t_mean1) + g_c) + t_mean2;
+        # the two broadcasts stay unmaterialised, as only elementwise adds read them.
+        g_d += (g_mean1 * scale).astype(dtype, copy=False)
+        g_d += g_c
+        g_d += (g_mean2 * scale).astype(dtype, copy=False)
+        return (g_d, g_weight, g_bias)
 
     return out_data, backward
+
+
+def _negated_sum(a: np.ndarray, scratch: np.ndarray, axes) -> np.ndarray:
+    """``(-a).sum(axes, keepdims=True)``, ``-a`` in ``scratch`` if it has ``a``'s layout."""
+    negated = np.negative(a, out=scratch if scratch.strides == a.strides else None)
+    return negated.sum(axis=axes, keepdims=True)
 
 
 def batch_norm_training(bn, x: Tensor, relu: bool = False) -> Tensor:
@@ -206,7 +222,7 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
         return (a + b).relu()
     out_data = a.data + b.data
     mask = out_data > 0
-    out_data = out_data * mask
+    np.multiply(out_data, mask, out=out_data)
 
     def backward(g: np.ndarray):
         g_masked = g * mask

@@ -109,10 +109,10 @@ def serve_logits(model: BaseClassifier, X: np.ndarray) -> np.ndarray:
         model.eval()
         with inference_mode():
             features = model.features(model.prepare_input(X)).data
-        # ascontiguousarray: einsum's SIMD accumulation is stride-sensitive
-        # and ResNet/Inception features (the generic conv's channels-last
-        # view; row-block trunks land contiguous NCHW) change strides with
-        # the batch width, so canonicalising keeps rows width-invariant.
+        # ascontiguousarray: einsum's SIMD accumulation is stride-sensitive,
+        # so the head must see one layout at every batch width.  The conv
+        # trunks all land contiguous NCHW; canonicalising makes the width
+        # invariance a property of this function, not of the trunks.
         pooled = np.ascontiguousarray(
             features.mean(axis=tuple(range(2, features.ndim)))  # (B, F)
         )

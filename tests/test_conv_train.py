@@ -85,7 +85,7 @@ def make_case(input_shape, weight_shape, bias, dtype, seed=0):
 
 def run_train(x, weight, b, stride, padding, grad):
     """``_conv2d_train`` forward, then its ``(input, weight, bias)`` gradients."""
-    out, backward = F._conv2d_train(x, weight, weight.shape, b, stride, padding, True)
+    out, backward = F._conv2d_train(x, weight, b, stride, padding, True)
     return (out,) + backward(grad) + ((None,) if b is None else ())
 
 
@@ -112,7 +112,7 @@ class TestConv2dTrain:
             else:
                 assert_close(got, want, dtype)
         # A first layer skips the input gradient; the others are unchanged.
-        _, backward = F._conv2d_train(x, weight, weight.shape, b, stride, padding, False)
+        _, backward = F._conv2d_train(x, weight, b, stride, padding, False)
         skipped = backward(grad)
         assert skipped[0] is None
         for got, want in zip(skipped[1:], actual[2:]):
