@@ -16,7 +16,7 @@ import os
 import threading
 from typing import Iterator, Optional
 
-__all__ = ["blas_threads", "can_set_threads", "pin_threads"]
+__all__ = ["blas_threads", "can_set_threads"]
 
 #: Thread-count setters, tried in order; each has a ``get`` twin.
 _SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
@@ -64,12 +64,6 @@ def can_set_threads() -> bool:
         if _control is _UNRESOLVED:
             _control, reason = _find_openblas()
         return _control is not None
-
-
-def pin_threads(count: int) -> None:
-    """Limit BLAS to ``count`` threads for the rest of the process (no-op if unsettable)."""
-    if can_set_threads():
-        _control[1](count)
 
 
 @contextlib.contextmanager

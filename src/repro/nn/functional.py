@@ -399,6 +399,9 @@ def max_pool2d(x: Tensor, kernel: Tuple[int, int], stride: Optional[Tuple[int, i
     sh, sw = stride
     windows, _ = _conv_windows(x.data, kernel, stride, (0, 0))
     out = windows.max(axis=(4, 5))
+    if not (is_grad_enabled() and x.requires_grad):
+        # Inference path: the argmax bookkeeping below exists only for backward.
+        return Tensor(out, name="max_pool2d")
     # indices of maxima for backward
     argmax = windows.reshape(windows.shape[:4] + (kh * kw,)).argmax(axis=-1)
     input_shape = x.shape

@@ -20,8 +20,6 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from typing import Protocol, runtime_checkable
 
-from ..nn import blas
-
 
 @runtime_checkable
 class Executor(Protocol):
@@ -54,11 +52,9 @@ def _package_search_path() -> str:
 
 
 def _worker_init(search_path: str) -> None:
-    """Pool initializer: make the package importable under spawn-style starts,
-    and pin BLAS to one thread (the pool's processes already fill the cores)."""
+    """Pool initializer: make the package importable under spawn-style starts."""
     if search_path not in sys.path:
         sys.path.insert(0, search_path)
-    blas.pin_threads(1)
 
 
 class ParallelExecutor:

@@ -13,7 +13,6 @@ import os
 import pickle
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from repro.experiments import (
 )
 from repro.models import TrainingConfig
 from repro.models.registry import kwargs_family_of_model
-from repro.nn import blas
 from repro.runtime import (
     ExperimentSpec,
     ParallelExecutor,
@@ -167,12 +165,6 @@ class TestRegistry:
         assert 0.0 <= value <= 1.0
 
 
-def _worker_blas_threads(_):
-    time.sleep(0.2)  # busy long enough that the other worker takes the next payload
-    get_threads = blas._control[0]
-    return os.getpid(), get_threads()
-
-
 class TestExecutors:
     def test_make_executor(self):
         assert isinstance(make_executor(None), SerialExecutor)
@@ -186,16 +178,6 @@ class TestExecutors:
     def test_parallel_degrades_to_serial_for_single_payload(self):
         executor = ParallelExecutor(workers=4)
         assert executor.map(lambda x: x + 1, [41]) == [42]
-
-    def test_parallel_workers_pin_blas_to_one_thread(self):
-        if not blas.can_set_threads():
-            pytest.skip(f"BLAS thread count not settable: {blas.reason}")
-        get_threads = blas._control[0]
-        before = get_threads()
-        reports = ParallelExecutor(workers=2).map(_worker_blas_threads, range(4))
-        assert len({pid for pid, _ in reports}) == 2
-        assert [threads for _, threads in reports] == [1] * 4
-        assert get_threads() == before  # the caller's count is untouched
 
     def test_repeated_units_execute_once(self, micro_scale):
         # Specs may repeat a unit (Figure 12's base-config timing appears in
