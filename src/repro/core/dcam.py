@@ -27,11 +27,18 @@ generator instance by instance.  :func:`iter_dcam` then takes instances in
 groups whose permuted series and CAM stacks fit a soft memory cap
 (:func:`_materialize_group`).  Per group it
 
-* looks each permutation row up in the optional byte cache under
-  :func:`permutation_cache_key` (model-state hash, instance bytes, class,
-  permutation); without a cache every row misses;
+* with the optional byte cache, reads each instance's permutation-row table
+  (one entry per model-state hash, instance bytes and class, under
+  :func:`_table_key`) and reuses the rows whose order it holds; without a
+  cache every row misses;
 * forwards all the group's misses in one :func:`_permutation_cams_batched`
-  call, whose micro-batches cross instance boundaries, and stores them;
+  call, whose micro-batches cross instance boundaries;
+* stores an empty table for an instance seen for the first time, and
+  appends the missing rows to the table of an instance that came back, so
+  rows are kept only for instances that recur (a stream of fresh instances
+  leaves one empty table each); a table grows to at most
+  :data:`_TABLE_MAX_BYTES`, however many seeds or how large a ``k`` the
+  instance is explained with;
 * assembles each instance's result only when the caller asks for the next
   one, so a caller that drops ``M̄`` holds about one at a time.
 
@@ -74,7 +81,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import pickle
 import threading
 from concurrent import futures
 from dataclasses import dataclass
@@ -93,7 +99,6 @@ __all__ = [
     "draw_orders",
     "iter_dcam",
     "merge_permutation_cams",
-    "permutation_cache_key",
     "permutation_rows",
     "extract_dcam",
     "explanation_quality_proxy",
@@ -117,6 +122,13 @@ _FORWARD_BYTES = 8 * 1024 * 1024
 #: setting's speed at half the peak transient footprint (sweep recorded in
 #: docs/benchmarks.md).
 _BATCH_MATERIALIZE_BYTES = 128 * 1024 * 1024
+
+#: Cap on one permutation-row table (:func:`iter_dcam`): a sixteenth of the
+#: serving cache's default 64 MiB memory budget, 129 rows at D=40, n=100 and
+#: all 24 orders at D=4, n=48.  A full table takes no more rows, so a hot
+#: instance explained with ever new seeds, or with a ``k`` in the thousands,
+#: keeps one bounded entry that the LRU can still weigh against the others.
+_TABLE_MAX_BYTES = 4 * 1024 * 1024
 
 #: Threads sharing one call's forwards: the cores this process may run on.
 _FORWARD_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -457,33 +469,67 @@ def _assemble_result(cams: np.ndarray, orders: np.ndarray, predicted: np.ndarray
     )
 
 
-def permutation_cache_key(model_hash: str, series: np.ndarray, class_id: int,
-                          order: np.ndarray) -> str:
-    """Content key of one permutation's CAM rows for one (instance, class).
-
-    Folds in the model-state hash, the instance bytes and the permutation, so
-    an entry can only ever replay the exact forward pass that produced it.
-    """
-    return _row_keys(model_hash, series, class_id, [order])[0]
+#: Domain tag of the permutation-row table keys (:func:`_table_key`); no
+#: other entry of a shared byte store can parse as a table.
+_TABLE_TAG = b"dcam-permutation-table\x00"
 
 
-def _row_keys(model_hash: str, series: np.ndarray, class_id: int,
-              orders: Sequence[np.ndarray]) -> List[str]:
-    """:func:`permutation_cache_key` of every order, hashing the instance once."""
-    base = hashlib.sha256()
-    base.update(b"dcam-permutation-cam\x00")
-    base.update(model_hash.encode("ascii"))
-    base.update(b"\x00")
+def _table_key(model_hash: str, series: np.ndarray, class_id: int) -> str:
+    """Content key of one (model state, instance, class)'s permutation-row table."""
+    digest = hashlib.sha256(_TABLE_TAG)
+    digest.update(model_hash.encode("ascii"))
+    digest.update(b"\x00")
     series = np.ascontiguousarray(series, dtype=np.float64)
-    base.update(str(series.shape).encode("ascii"))
-    base.update(series.tobytes())
-    base.update(f"\x00{int(class_id)}\x00".encode("ascii"))
-    keys = []
-    for order in orders:
-        digest = base.copy()
-        digest.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
-        keys.append(digest.hexdigest())
-    return keys
+    digest.update(str(series.shape).encode("ascii"))
+    digest.update(series.tobytes())
+    digest.update(f"\x00{int(class_id)}\x00".encode("ascii"))
+    return digest.hexdigest()
+
+
+def _read_table(blob: bytes, n_dimensions: int,
+                length: int) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(orders, predicted, cams)`` of a stored table, ``None`` unless it holds whole rows.
+
+    A table is raw bytes: the ``(m, D)`` int64 orders, the ``(m,)`` int64
+    predicted classes and the ``(m, D, n)`` float64 CAM rows, concatenated;
+    ``m`` follows from the length.
+    """
+    rows, remainder = divmod(len(blob), _table_row_bytes(n_dimensions, length))
+    if remainder:
+        return None
+    orders = np.frombuffer(blob, np.int64, rows * n_dimensions)
+    predicted = np.frombuffer(blob, np.int64, rows, offset=orders.nbytes)
+    cams = np.frombuffer(blob, np.float64, rows * n_dimensions * length,
+                         offset=orders.nbytes + predicted.nbytes)
+    return orders.reshape(rows, n_dimensions), predicted, cams.reshape(rows, n_dimensions, length)
+
+
+def _table_row_bytes(n_dimensions: int, length: int) -> int:
+    """Bytes of one table row: its ``D`` order entries, predicted class and ``(D, n)`` CAM."""
+    return 8 * (n_dimensions + 1 + n_dimensions * length)
+
+
+def _table_bytes(orders: np.ndarray, predicted: np.ndarray, cams: np.ndarray) -> bytes:
+    """The stored form of int64 ``orders``/``predicted`` and float64 ``cams`` (:func:`_read_table`)."""
+    return b"".join(part.tobytes() for part in (orders, predicted, cams))
+
+
+def _load_table(cache, key: str, n_dimensions: int,
+                length: int) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The table under ``key``: ``None`` if there is none, empty if it is not whole rows.
+
+    A table that is not whole rows is dropped from the cache's local tiers
+    and read as holding no rows, so every row is forwarded and the table
+    overwritten; it is never sliced into a map.
+    """
+    blob = cache.get(key)
+    if blob is None:
+        return None
+    table = _read_table(blob, n_dimensions, length)
+    if table is None:
+        cache.invalidate(key)
+        table = _read_table(b"", n_dimensions, length)
+    return table
 
 
 def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequence[int],
@@ -494,11 +540,14 @@ def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequenc
     ``orders`` holds one ``(k_i, D)`` stack per instance (:func:`draw_orders`);
     ``X`` and ``class_ids`` are trusted, callers validate them.  Instances go
     in groups of :func:`_materialize_group`.  With a ``cache`` (any object with
-    ``get(key)`` and ``put(key, blob)``) each row is looked up under
-    :func:`permutation_cache_key` with ``model_hash``; the group's misses
-    (every row without a cache) are forwarded in one
-    :func:`_permutation_cams_batched` call and stored.  Each result is
-    assembled when the caller asks for it.
+    ``get(key)``, ``put(key, blob)`` and ``invalidate(key)``) each instance's
+    permutation-row table is read under :func:`_table_key` with
+    ``model_hash``, once per instance: rows whose order it holds are reused.
+    The group's other rows (every row without a cache) are forwarded in one
+    :func:`_permutation_cams_batched` call.  An instance without a table gets
+    an empty one; an instance with one gets its missing rows appended, in
+    draw order, until the table holds :data:`_TABLE_MAX_BYTES`.  Each result
+    is assembled when the caller asks for it.
     """
     if model.training:  # eval() walks every module: keep it off the warm path
         model.eval()
@@ -507,40 +556,48 @@ def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequenc
     group = _materialize_group(max(counts, default=0), n_dimensions, length)
     for first in range(0, n_instances, group):
         last = min(first + group, n_instances)
-        missing = None
+        owners = np.repeat(np.arange(first, last), counts[first:last])
+        orders_flat = np.concatenate(orders[first:last]).astype(np.int64, copy=False)
+        bounds = np.cumsum([0] + counts[first:last])
+        missing = np.ones(len(owners), dtype=bool)
         if cache is not None:
-            keys = [key for index in range(first, last)
-                    for key in _row_keys(model_hash, X[index], class_ids[index], orders[index])]
-            cams = np.empty((len(keys), n_dimensions, length))
-            predicted = np.empty(len(keys), dtype=np.int64)
-            missing = []
-            for row, key in enumerate(keys):
-                blob = cache.get(key)
-                if blob is None:
-                    missing.append(row)
-                else:
-                    cams[row], predicted[row] = pickle.loads(blob)
-        if missing is None or missing:
-            owners = np.repeat(np.arange(first, last), counts[first:last])
-            orders_flat = np.concatenate(orders[first:last])
-            rows = (slice(None) if missing is None or len(missing) == len(owners)
-                    else np.asarray(missing))
+            cams = np.empty((len(owners), n_dimensions, length))
+            predicted = np.empty(len(owners), dtype=np.int64)
+            keys = [_table_key(model_hash, X[index], class_ids[index])
+                    for index in range(first, last)]
+            tables = [_load_table(cache, key, n_dimensions, length) for key in keys]
+            for table, start, stop in zip(tables, bounds, bounds[1:]):
+                held = {} if table is None else {order.tobytes(): row
+                                                 for row, order in enumerate(table[0])}
+                found = [(row, held[order]) for row in range(start, stop)
+                         if (order := orders_flat[row].tobytes()) in held]
+                if found:
+                    here, there = np.array(found).T
+                    cams[here], predicted[here] = table[2][there], table[1][there]
+                    missing[here] = False
+        rows = np.flatnonzero(missing)
+        if len(rows):
             forwarded = _permutation_cams_batched(
                 model, X[owners[rows, None], orders_flat[rows]],
                 model.class_weights[np.asarray(class_ids)[owners[rows]]], batch_size)
-            if isinstance(rows, slice):
+            if len(rows) == len(owners):
                 cams, predicted = forwarded
             else:
                 cams[rows], predicted[rows] = forwarded
-            for row in missing or ():
-                cache.put(keys[row], pickle.dumps((cams[row], int(predicted[row])),
-                                                  protocol=pickle.HIGHEST_PROTOCOL))
-        start = 0
-        for index in range(first, last):
-            stop = start + counts[index]
+        if cache is not None:
+            capacity = _TABLE_MAX_BYTES // _table_row_bytes(n_dimensions, length)
+            for key, table, start, stop in zip(keys, tables, bounds, bounds[1:]):
+                if table is None:  # a first explain: remember the instance, keep no rows
+                    cache.put(key, b"")
+                    continue
+                new = list({orders_flat[row].tobytes(): row for row in start + np.flatnonzero(
+                    missing[start:stop])}.values())[:max(capacity - len(table[1]), 0)]
+                if new:
+                    cache.put(key, _table_bytes(*(np.concatenate(pair) for pair in zip(
+                        table, (orders_flat[new], predicted[new], cams[new])))))
+        for index, start, stop in zip(range(first, last), bounds, bounds[1:]):
             yield _assemble_result(cams[start:stop], orders[index], predicted[start:stop],
                                    class_ids[index], use_only_correct)
-            start = stop
 
 
 def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,

@@ -140,11 +140,13 @@ def figure10_curve(scale, *, seed_name: str, dataset_type: int, n_dimensions: in
     """Train once, then re-evaluate Dr-acc at each permutation count ``k``.
 
     The per-``k`` evaluations share an in-memory
-    :class:`~repro.serve.cache.ExplanationCache`: every evaluation seeds its
-    permutation generator identically, so the ``k₁`` draw is a prefix of any
-    ``k₂ > k₁`` draw and the dCAM explainer reuses the cached permutation
-    CAMs — the sweep costs ``max(k)`` forwards per instance instead of
-    ``sum(k)``, with bit-identical Dr-acc values (pinned by tests).
+    :class:`~repro.serve.cache.ExplanationCache`, so from its second
+    evaluation on each instance reuses the rows its permutation-row table
+    holds (the first stores the table empty), with bit-identical Dr-acc
+    values (pinned by tests).  Every evaluation seeds its generator
+    identically but draws instance by instance off it, so only the first
+    instance's ``k₁`` draw is a prefix of its ``k₂ > k₁`` draw; the other
+    instances reuse a row only where an order repeats.
     """
     from ..serve.cache import ExplanationCache
 

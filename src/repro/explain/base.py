@@ -79,15 +79,16 @@ class Explainer:
         turns it off.
     cache:
         Optional content-addressed byte store (any object with
-        ``get(key) -> Optional[bytes]`` and ``put(key, blob)``, e.g.
-        :class:`repro.serve.cache.ExplanationCache`).  Families that support
-        sub-explanation reuse consult it: the dCAM family caches *per
-        permutation* — keyed on the model-state hash, the instance bytes, the
-        class and the permutation — so re-explaining the same instance with a
-        larger ``k`` (Figure 10's per-``k`` sweep) only forwards the
-        permutations not seen before.  Families without reusable
-        sub-computations ignore it; the serving layer caches their whole
-        responses instead.
+        ``get(key) -> Optional[bytes]``, ``put(key, blob)`` and
+        ``invalidate(key)``, e.g. :class:`repro.serve.cache.ExplanationCache`).
+        Families that support sub-explanation reuse consult it: the dCAM
+        family keeps one permutation-row table per model-state hash, instance
+        and class, empty after an instance's first explain and holding the
+        orders forwarded since up to a fixed byte cap, so an instance
+        explained again (another seed or a larger ``k``) only forwards the
+        permutations its table does not hold.
+        Families without reusable sub-computations ignore it; the serving
+        layer caches their whole responses instead.
     """
 
     #: Registry key; set by the :func:`repro.explain.registry.register_explainer`

@@ -10,14 +10,16 @@ generator yields it, so with ``keep_details`` off each ``M̄`` is dropped at
 once.
 
 When an :class:`~repro.explain.base.Explainer` ``cache`` is attached, the
-pipeline caches at *permutation* granularity: each permutation's CAM rows and
-predicted class are stored under
-:func:`~repro.core.dcam.permutation_cache_key`, which folds in the model-state
-hash, the instance bytes, the class and the permutation itself.  Because a
+pipeline keeps one *permutation-row table* per (model-state hash, instance
+bytes, class): the CAM rows and predicted classes of the orders already
+forwarded for it.  An instance's first explain stores an empty table; from
+its second on, only the orders the table does not hold are forwarded and
+appended, until the table reaches :data:`repro.core.dcam._TABLE_MAX_BYTES`.
+Rows are thus kept only for instances that come back, and a bounded number
+of them per instance.  Because a
 seeded generator draws the first ``k₁`` permutations of a ``k₂ > k₁`` draw
-identically, re-explaining an instance at growing ``k`` (Figure 10's sweep)
-only forwards the permutations never seen before — the paper's per-``k``
-curves then cost ``max(k)`` forwards instead of ``sum(k)``.
+identically, re-explaining one instance at growing ``k`` with one seed costs
+``k₁ + max(k)`` forwards instead of ``sum(k)``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from ..core.dcam import (
     _permutation_cams_batched,  # noqa: F401
     draw_orders,
     iter_dcam,
-    permutation_cache_key,  # noqa: F401 - re-exported
 )
 from ..nn.serialization import state_hash
 from .base import Explainer, Explanation

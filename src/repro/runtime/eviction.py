@@ -18,7 +18,10 @@ key inside a flat directory.  This module owns the mechanics they share:
   runtime, telemetry counters for serving).
 
 Eviction is size-triggered, never time-triggered, so a store below its budget
-behaves exactly like the unbounded caches these helpers replaced.
+behaves exactly like the unbounded caches these helpers replaced.  Both local
+tiers charge every entry its payload plus :data:`ENTRY_OVERHEAD_BYTES`, so
+even zero-byte entries (the dCAM family's empty permutation-row tables) fill
+a budget and get evicted.
 """
 
 from __future__ import annotations
@@ -29,9 +32,16 @@ import threading
 from collections import OrderedDict
 from typing import Iterator, List, Optional, Tuple
 
+#: What every entry costs against a budget on top of its payload: about a
+#: memory entry's key string, bytes header and ordered-dict slot, and well
+#: under a disk entry's inode and directory record.
+ENTRY_OVERHEAD_BYTES = 256
+
 
 class BoundedMemoryStore:
-    """LRU-ordered ``{key: bytes}`` store bounded by total payload size.
+    """LRU-ordered ``{key: bytes}`` store bounded by total charged size.
+
+    Each entry is charged its payload plus :data:`ENTRY_OVERHEAD_BYTES`.
 
     ``max_bytes=None`` disables eviction (the store behaves like a plain
     dict).  A single entry larger than the whole budget is still admitted —
@@ -62,20 +72,20 @@ class BoundedMemoryStore:
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self._total_bytes -= len(previous)
+                self._total_bytes -= len(previous) + ENTRY_OVERHEAD_BYTES
             self._entries[key] = blob
-            self._total_bytes += len(blob)
+            self._total_bytes += len(blob) + ENTRY_OVERHEAD_BYTES
             if self.max_bytes is not None:
                 while self._total_bytes > self.max_bytes and len(self._entries) > 1:
                     _, evicted = self._entries.popitem(last=False)
-                    self._total_bytes -= len(evicted)
+                    self._total_bytes -= len(evicted) + ENTRY_OVERHEAD_BYTES
                     self.evictions += 1
 
     def discard(self, key: str) -> None:
         with self._lock:
             blob = self._entries.pop(key, None)
             if blob is not None:
-                self._total_bytes -= len(blob)
+                self._total_bytes -= len(blob) + ENTRY_OVERHEAD_BYTES
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -103,7 +113,10 @@ def touch(path: str) -> None:
 
 
 def _entry_files(directory: str, suffix: str) -> List[Tuple[float, int, str]]:
-    """``(mtime, size, path)`` for every entry file, least recent first."""
+    """``(mtime, charged size, path)`` for every entry file, least recent first.
+
+    The charged size is the file size plus :data:`ENTRY_OVERHEAD_BYTES`.
+    """
     entries = []
     for name in os.listdir(directory):
         if not name.endswith(suffix):
@@ -113,7 +126,7 @@ def _entry_files(directory: str, suffix: str) -> List[Tuple[float, int, str]]:
             stat = os.stat(path)
         except OSError:
             continue  # concurrently evicted by another process
-        entries.append((stat.st_mtime, stat.st_size, path))
+        entries.append((stat.st_mtime, stat.st_size + ENTRY_OVERHEAD_BYTES, path))
     entries.sort()
     return entries
 
@@ -121,9 +134,10 @@ def _entry_files(directory: str, suffix: str) -> List[Tuple[float, int, str]]:
 def enforce_disk_budget(directory: str, max_bytes: Optional[int], suffix: str = ".pkl") -> int:
     """Delete least-recently-used ``suffix`` files until the directory fits.
 
+    Each file is charged its size plus :data:`ENTRY_OVERHEAD_BYTES`.
     Returns the number of files evicted.  The most recent file always
-    survives, mirroring :class:`BoundedMemoryStore`'s single-entry admission.
-    Concurrent deletions by other processes are tolerated.
+    survives, mirroring :class:`BoundedMemoryStore`'s single-entry
+    admission.  Concurrent deletions by other processes are tolerated.
     """
     if max_bytes is None or not os.path.isdir(directory):
         return 0
@@ -247,7 +261,7 @@ class TieredByteStore:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
         if self.max_disk_bytes is not None:
-            self._approx_disk_bytes += len(blob)
+            self._approx_disk_bytes += len(blob) + ENTRY_OVERHEAD_BYTES
             if self._approx_disk_bytes > self.max_disk_bytes:
                 self.disk_evictions += enforce_disk_budget(
                     self.directory, self.max_disk_bytes, suffix=self.suffix

@@ -2,17 +2,19 @@
 
 The serving layer answers many requests for the *same* explanation: repeated
 classify/explain calls on hot instances, and the dCAM family's permutation
-CAMs shared across requests with different ``k``.  Both are served from one
-:class:`ExplanationCache`:
+CAMs of instances explained again with another seed or ``k``.  Both are
+served from one :class:`ExplanationCache`:
 
 * **response level** — whole classify/explain response payloads, keyed by
   :func:`response_cache_key` (SHA-256 over the model-state hash, the instance
   bytes, the class, ``k`` and the permutation seed — everything that
   determines the bytes of a response);
-* **permutation level** — the dCAM family's per-permutation CAM rows via the
-  :class:`~repro.explain.base.Explainer` cache hook (see
-  :func:`repro.explain.dcam.permutation_cache_key`), which also closes the
-  ROADMAP "explanation caching below the unit level" item for Figure 10.
+* **permutation level** — the dCAM family's permutation-row tables via the
+  :class:`~repro.explain.base.Explainer` cache hook: one entry per
+  (model-state hash, instance, class) holding the CAM rows of the orders
+  already forwarded, stored empty on an instance's first explain and filled
+  from its second up to a 4 MiB cap (:func:`repro.core.dcam.iter_dcam`).  This also serves
+  Figure 10's growing-``k`` sweep below the unit level.
 
 Entries are raw bytes, so warm hits are byte-identical to the stored cold
 computation.  Both tiers live in the same LRU-bounded
@@ -194,6 +196,14 @@ class ExplanationCache:
         self.telemetry.increment("cache_stores")
         if evicted:
             self.telemetry.increment("cache_evictions", evicted)
+
+    def invalidate(self, key: str) -> None:
+        """Drop ``key`` from the local tiers (an entry that failed to parse).
+
+        Counted as ``cache_invalidations``; the remote tier keeps its copy.
+        """
+        self._store.invalidate(key)
+        self.telemetry.increment("cache_invalidations")
 
     def __contains__(self, key: str) -> bool:
         return key in self._store

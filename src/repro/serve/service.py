@@ -275,7 +275,7 @@ class ExplanationService:
 
         float32 responses are legitimately different bytes from the float64
         reference, so they must never collide in the response or
-        per-permutation caches.
+        permutation-row caches.
         """
         if self.config.precision == "float32" and artifact.state_hash:
             return f"{artifact.state_hash}:float32"

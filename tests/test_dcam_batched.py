@@ -13,8 +13,9 @@ from repro.core.dcam import (
     compute_dcam,
     compute_dcam_batch,
     extract_dcam,
+    _read_table,
+    _table_key,
     merge_permutation_cams,
-    permutation_cache_key,
 )
 from repro.core.input_transform import random_permutations
 from repro.models import DCNNClassifier
@@ -213,12 +214,18 @@ class TestOnePipeline:
         cache = ExplanationCache(max_memory_bytes=None, telemetry=telemetry)
         explainer = DCAMExplainer(model, batch_size=4, cache=cache,
                                   use_only_correct=use_only_correct)
-        # Warm every other row of instances 0 and 3, one in each of two groups.
+        # Warm every other row of instances 0 and 3, one in each of two
+        # groups: the first explain stores an empty table, the second its rows.
         warm = [0, 3]
-        explainer.explain_batch(X[warm], [class_ids[i] for i in warm],
-                                permutations=[perms[i][::2] for i in warm])
+        for _ in range(2):
+            explainer.explain_batch(X[warm], [class_ids[i] for i in warm],
+                                    permutations=[perms[i][::2] for i in warm])
         model_hash = explainer.model_state_hash()
-        missed = [[permutation_cache_key(model_hash, X[i], class_ids[i], order) not in cache
+        keys = [_table_key(model_hash, X[i], class_ids[i]) for i in range(len(X))]
+        held = [set() if cache.get(key) is None else
+                {order.tobytes() for order in _read_table(cache.get(key), 5, 24)[0]}
+                for key in keys]
+        missed = [[np.asarray(order, dtype=np.int64).tobytes() not in held[i]
                    for order in perms[i]] for i in range(len(X))]
         for i in warm:
             assert 0 < sum(missed[i]) < len(perms[i])
@@ -233,14 +240,173 @@ class TestOnePipeline:
         stores = telemetry.snapshot()["cache_stores"]
         cached = explainer.explain_batch(X, class_ids, permutations=perms)
 
-        n_missed = sum(map(sum, missed))
-        assert telemetry.snapshot()["cache_stores"] - stores == n_missed
+        # One table stored per instance: the warm two re-put with their
+        # missing rows appended, the other three stored empty.
+        assert telemetry.snapshot()["cache_stores"] - stores == len(X)
+        assert len(cache) == len(X)
         # One forward per group, of exactly the group's missing rows.
         assert forwarded == [sum(map(sum, missed[first:first + 2])) for first in (0, 2, 4)]
         for explanation, result in zip(cached, expected):
             assert np.array_equal(explanation.heatmap, result.dcam)
             assert np.array_equal(explanation.details.m_bar, result.m_bar)
             assert explanation.details.n_correct == result.n_correct
+
+    def test_fresh_instances_leave_empty_tables(self):
+        from repro.explain import DCAMExplainer
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(5, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        X = np.random.default_rng(1).standard_normal((6, 5, 24))
+        class_ids = [0, 1, 2, 1, 0, 2]
+        cache = ExplanationCache(max_memory_bytes=None)
+        explainer = DCAMExplainer(model, k=8, batch_size=4, cache=cache,
+                                  rng=np.random.default_rng(2))
+        explainer.explain_batch(X, class_ids)
+        # No rows are kept for instances seen once: one empty table each.
+        assert len(cache) == len(X)
+        model_hash = explainer.model_state_hash()
+        assert all(cache.get(_table_key(model_hash, series, class_id)) == b""
+                   for series, class_id in zip(X, class_ids))
+
+    def test_second_explain_stores_exactly_its_missing_rows(self, monkeypatch):
+        from repro.explain import DCAMExplainer
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(5, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        series = np.random.default_rng(1).standard_normal((5, 24))
+        orders = [np.asarray(order) for order in
+                  {tuple(order) for order in random_permutations(5, 40, np.random.default_rng(3))}]
+        first, second, third = orders[:6], orders[6:12], orders[9:16]
+        cache = ExplanationCache(max_memory_bytes=None)
+        explainer = DCAMExplainer(model, batch_size=4, cache=cache)
+        key = _table_key(explainer.model_state_hash(), series, 1)
+        expected = [compute_dcam(model, series, 1, permutations=explained, batch_size=4).dcam
+                    for explained in (first, second, third, third)]
+        forwarded = []
+        original = core_dcam._permutation_cams_batched
+
+        def counting(model, permuted, class_weights, batch_size):
+            forwarded.append(len(permuted))
+            return original(model, permuted, class_weights, batch_size)
+
+        monkeypatch.setattr(core_dcam, "_permutation_cams_batched", counting)
+        for explained, reference in zip((first, second, third, third), expected):
+            assert np.array_equal(explainer.explain(series, 1, permutations=explained).heatmap,
+                                  reference)
+        # The first explain stores an empty table; the second forwards and
+        # stores all its rows; the third only the four it lacks; the fourth
+        # forwards nothing.
+        assert forwarded == [6, 6, 4]
+        table_orders, table_predicted, table_cams = _read_table(cache.get(key), 5, 24)
+        stored = second + third[3:]
+        assert np.array_equal(table_orders, np.asarray(stored))
+        cams, predicted = original(model, series[np.asarray(stored)],
+                                   model.class_weights[[1] * len(stored)], 4)
+        assert np.array_equal(table_cams, cams) and np.array_equal(table_predicted, predicted)
+
+    def test_tables_stop_growing_at_their_cap(self, monkeypatch):
+        from repro.explain import DCAMExplainer
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(5, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        X = np.random.default_rng(1).standard_normal((2, 5, 24))
+        row_bytes = 8 * (5 + 1 + 5 * 24)
+        monkeypatch.setattr(core_dcam, "_TABLE_MAX_BYTES", 10 * row_bytes + row_bytes // 2)
+        budget = 16 * row_bytes
+        cache = ExplanationCache(max_memory_bytes=budget)
+        explainer = DCAMExplainer(model, batch_size=4, cache=cache)
+        keys = [_table_key(explainer.model_state_hash(), series, 1) for series in X]
+
+        def explain(series, perms):
+            heatmap = explainer.explain(series, 1, permutations=perms).heatmap
+            assert np.array_equal(heatmap, compute_dcam(model, series, 1, permutations=perms,
+                                                        batch_size=4).dcam)
+            assert cache._store.memory.total_bytes <= budget
+            return cache.telemetry.snapshot()["cache_stores"]
+
+        # A hot instance explained with ever new seeds: its table fills to
+        # ten rows, then takes no more and is not re-put.
+        stores = []
+        for seed in range(20):
+            stores.append(explain(X[0], random_permutations(5, 4, np.random.default_rng(seed))))
+            held = len(_read_table(cache.get(keys[0]), 5, 24)[0])
+            assert held <= 10
+            if held == 10:
+                break
+        assert held == 10
+        for seed in range(20, 30):
+            assert explain(X[0], random_permutations(5, 4, np.random.default_rng(seed))) \
+                == stores[-1]
+        assert len(_read_table(cache.get(keys[0]), 5, 24)[0]) == 10
+        # One explain with a large k stores its first ten distinct orders.
+        perms = random_permutations(5, 30, np.random.default_rng(99))
+        explain(X[1], perms)
+        stored = explain(X[1], perms)
+        table_orders = _read_table(cache.get(keys[1]), 5, 24)[0]
+        first = list(dict.fromkeys(tuple(order) for order in perms))[:10]
+        assert [tuple(order) for order in table_orders] == first
+        assert explain(X[1], perms) == stored
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_truncated_table_is_recomputed_and_overwritten(self, tmp_path, tier):
+        from repro.explain import DCAMExplainer
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(5, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        series = np.random.default_rng(1).standard_normal((5, 24))
+        perms = random_permutations(5, 8, np.random.default_rng(2))
+        expected = compute_dcam(model, series, 2, permutations=perms, batch_size=4)
+        cache = ExplanationCache(directory=str(tmp_path), max_memory_bytes=None)
+        explainer = DCAMExplainer(model, batch_size=4, cache=cache)
+        for _ in range(2):
+            explainer.explain(series, 2, permutations=perms)
+        key = _table_key(explainer.model_state_hash(), series, 2)
+        whole = cache.get(key)
+        assert len(_read_table(whole, 5, 24)[0]) == len({tuple(p) for p in perms})
+        if tier == "memory":
+            cache.put(key, whole[:-8])
+        else:
+            (tmp_path / f"{key}.blob").write_bytes(whole[:-8])
+            cache = ExplanationCache(directory=str(tmp_path), max_memory_bytes=None)
+            explainer = DCAMExplainer(model, batch_size=4, cache=cache)
+        heatmap = explainer.explain(series, 2, permutations=perms).heatmap
+        assert np.array_equal(heatmap, expected.dcam)
+        assert cache.telemetry.snapshot()["cache_invalidations"] == 1
+        assert cache.get(key) == whole
+        assert (tmp_path / f"{key}.blob").read_bytes() == whole
+
+    def test_growing_k_sweep_matches_uncached(self, monkeypatch):
+        from repro.explain import DCAMExplainer
+        from repro.serve import ExplanationCache
+
+        model = DCNNClassifier(6, 24, 3, filters=(4, 8), rng=np.random.default_rng(0)).eval()
+        X = np.random.default_rng(1).standard_normal((3, 6, 24))
+        class_ids = [0, 1, 2]
+        k_values = (2, 4, 8, 16)
+        forwarded = []
+        original = core_dcam._permutation_cams_batched
+
+        def counting(model, permuted, class_weights, batch_size):
+            forwarded.append(len(permuted))
+            return original(model, permuted, class_weights, batch_size)
+
+        def sweep(cache):
+            # One generator per instance, seeded alike at every k: each draw
+            # is a prefix of the next.
+            return [[DCAMExplainer(model, k=k, batch_size=4, cache=cache,
+                                   rng=np.random.default_rng(5 + index)).explain(series,
+                                                                                 class_id).heatmap
+                     for index, (series, class_id) in enumerate(zip(X, class_ids))]
+                    for k in k_values]
+
+        plain = sweep(None)
+        monkeypatch.setattr(core_dcam, "_permutation_cams_batched", counting)
+        cached = sweep(ExplanationCache(max_memory_bytes=None))
+        assert all(np.array_equal(a, b) for row, other in zip(cached, plain)
+                   for a, b in zip(row, other))
+        # Each draw extends the previous one, so the sweep forwards k₁ + max(k)
+        # rows per instance (fewer where a draw repeats an order).
+        assert sum(forwarded) <= len(X) * (k_values[0] + k_values[-1])
 
     def test_explain_batch_without_details_holds_one_m_bar(self, monkeypatch):
         from repro.explain import DCAMExplainer

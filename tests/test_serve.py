@@ -37,7 +37,12 @@ import pytest
 
 from repro.explain import get_explainer
 from repro.runtime import ResultCache
-from repro.runtime.eviction import BoundedMemoryStore, enforce_disk_budget
+from repro.runtime.eviction import (
+    ENTRY_OVERHEAD_BYTES,
+    BoundedMemoryStore,
+    TieredByteStore,
+    enforce_disk_budget,
+)
 from repro.serve import (
     ExplanationCache,
     ExplanationService,
@@ -160,7 +165,7 @@ class TestExplanationCache:
         assert second.get("a" * 64) == b"one"
 
     def test_memory_lru_eviction_order(self):
-        cache = ExplanationCache(max_memory_bytes=8)
+        cache = ExplanationCache(max_memory_bytes=2 * (4 + ENTRY_OVERHEAD_BYTES))
         cache.put("a" * 64, b"aaaa")
         cache.put("b" * 64, b"bbbb")
         assert cache.get("a" * 64) == b"aaaa"  # refresh a
@@ -204,7 +209,7 @@ class TestExplanationCache:
 
 class TestSharedEviction:
     def test_bounded_memory_store(self):
-        store = BoundedMemoryStore(max_bytes=10)
+        store = BoundedMemoryStore(max_bytes=2 * (5 + ENTRY_OVERHEAD_BYTES))
         store.put("a", b"12345")
         store.put("b", b"12345")
         store.get("a")
@@ -215,7 +220,8 @@ class TestSharedEviction:
     def test_bounded_memory_store_thread_safety(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        store = BoundedMemoryStore(max_bytes=64)  # constant churn
+        charge = 10 + ENTRY_OVERHEAD_BYTES
+        store = BoundedMemoryStore(max_bytes=6 * charge)  # constant churn
 
         def hammer(worker):
             for index in range(400):
@@ -225,7 +231,21 @@ class TestSharedEviction:
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             list(pool.map(hammer, range(6)))
-        assert store.total_bytes <= 64 + 10  # bound holds (± one in-flight entry)
+        assert store.total_bytes <= 7 * charge  # bound holds (± one in-flight entry)
+
+    def test_zero_byte_entries_fill_the_memory_budget(self):
+        store = BoundedMemoryStore(max_bytes=10 * ENTRY_OVERHEAD_BYTES)
+        for index in range(10_000):
+            store.put(f"{index:064x}", b"")
+        assert len(store) == 10
+        assert store.evictions == 10_000 - 10
+
+    def test_zero_byte_entries_fill_the_disk_budget(self, tmp_path):
+        store = TieredByteStore(directory=str(tmp_path), suffix=".blob",
+                                max_memory_bytes=1, max_disk_bytes=10 * ENTRY_OVERHEAD_BYTES)
+        for index in range(200):
+            store.put(f"{index:064x}", b"")
+        assert len(list(tmp_path.glob("*.blob"))) <= 10
 
     def test_result_cache_disk_lru(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), max_disk_bytes=1)
@@ -554,39 +574,51 @@ class TestServiceParity:
 # ---------------------------------------------------------------------------
 
 class TestPermutationCache:
-    def test_growing_k_reuses_permutation_cams(self, trained_dcnn,
+    def test_growing_k_reuses_permutation_cams(self, monkeypatch, trained_dcnn,
                                                tiny_type1_test_dataset):
+        import repro.core.dcam as core_dcam
         from repro.explain.evaluation import evaluate_explainer
 
+        k_values = (1, 2, 4, 8)
+        plain = [
+            evaluate_explainer(trained_dcnn, tiny_type1_test_dataset, k=k,
+                               n_instances=3, random_state=11).dr_acc
+            for k in k_values
+        ]
+        forwarded = []
+        original = core_dcam._permutation_cams_batched
+
+        def counting(model, permuted, class_weights, batch_size):
+            forwarded.append(len(permuted))
+            return original(model, permuted, class_weights, batch_size)
+
+        monkeypatch.setattr(core_dcam, "_permutation_cams_batched", counting)
         cache = ExplanationCache(max_memory_bytes=None)
         cached = [
             evaluate_explainer(trained_dcnn, tiny_type1_test_dataset, k=k,
                                n_instances=3, random_state=11, cache=cache).dr_acc
-            for k in (1, 2, 4, 8)
-        ]
-        plain = [
-            evaluate_explainer(trained_dcnn, tiny_type1_test_dataset, k=k,
-                               n_instances=3, random_state=11).dr_acc
-            for k in (1, 2, 4, 8)
+            for k in k_values
         ]
         assert cached == plain
-        snapshot = cache.telemetry.snapshot()
-        assert snapshot["cache_hits"] > 0
-        # Each instance's k₁ draw is a prefix of its k₂ draw, so far fewer
-        # than sum(k) forwards were paid.
-        assert snapshot["cache_stores"] < 3 * (1 + 2 + 4 + 8)
+        # The first instance's draws nest across k, so from its second
+        # evaluation on its table serves rows and fewer than sum(k) rows
+        # per instance are forwarded.
+        assert sum(forwarded) < 3 * sum(k_values)
+        # At most one table store per instance and evaluation.
+        assert cache.telemetry.snapshot()["cache_stores"] <= 3 * len(k_values)
 
     def test_cache_keys_depend_on_model_state(self, trained_dcnn):
-        from repro.explain.dcam import permutation_cache_key
+        from repro.core.dcam import _table_key
 
         series = np.zeros((4, 8))
-        order = np.arange(4)
-        key_one = permutation_cache_key("hash-one", series, 1, order)
-        key_two = permutation_cache_key("hash-two", series, 1, order)
-        assert key_one != key_two
-        assert key_one != permutation_cache_key("hash-one", series, 0, order)
-        assert key_one != permutation_cache_key("hash-one", series, 1,
-                                                np.array([1, 0, 2, 3]))
+        key_one = _table_key("hash-one", series, 1)
+        assert key_one == _table_key("hash-one", np.zeros((4, 8)), 1)
+        assert key_one != _table_key("hash-two", series, 1)
+        assert key_one != _table_key("hash-one", series, 0)
+        changed = series.copy()
+        changed[3, 7] = 1.0
+        assert key_one != _table_key("hash-one", changed, 1)
+        assert key_one != _table_key("hash-one", series.reshape(8, 4), 1)
 
 
 # ---------------------------------------------------------------------------
