@@ -63,8 +63,17 @@ width run on a process-wide thread pool while BLAS is pinned to one thread
 count cannot be set (unpinned, the split is no faster), the rows run
 serially on the caller's thread.  Either way the forward partition is the
 serial one, so results are bitwise equal at every thread count; the merge
-and everything after it stay serial.  The peak in-flight working set is
-threads × the 8 MiB budget.
+and everything after it stay serial.
+
+Each slice owns one :class:`~repro.nn.workspace.SliceScratch`: the row
+kernel folds every BatchNorm (layer 1's rotated bank included) once per
+slice, and takes every block's cols and output from the scratch, which
+holds all of one micro-batch's layer buffers at once and is released after
+each micro-batch.  The peak in-flight working set is therefore threads ×
+the sum of those buffers, not of the widest im2col alone: 13.9 MiB per
+thread at D=40, n=100, filters 16,32,32, width 2, of which the widest
+im2col, the one the budget bounds, is 5.9 MiB.  The scratch goes when its
+slice returns; nothing stays with the thread.
 
 No ``C(T)`` cube is built for the dCNN.  Cube row ``r`` is the permuted series
 rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
@@ -90,6 +99,7 @@ import numpy as np
 
 from ..nn import Conv2d, Tensor, inference_mode
 from ..nn.blas import blas_threads, can_set_threads
+from ..nn.workspace import SliceScratch
 from .input_transform import random_permutations
 
 __all__ = [
@@ -110,8 +120,9 @@ __all__ = [
 #: large enough to amortise Python dispatch.
 DEFAULT_BATCH_SIZE = 32
 
-#: Working-set budget of a forward micro-batch's widest im2col, about twice
-#: a per-core L2; wider spills to memory (width sweep in docs/benchmarks.md).
+#: Working-set budget of a forward micro-batch's widest im2col, about four
+#: times a 2 MiB per-core L2; wider spills to memory (width sweeps in
+#: docs/benchmarks.md).
 _FORWARD_BYTES = 8 * 1024 * 1024
 
 #: Soft cap on the permuted-series + CAM arrays materialised at once by
@@ -297,9 +308,12 @@ def draw_orders(n_instances: int, n_dimensions: int, k: int,
 def _forward_rows(model, permuted: np.ndarray, class_weights: np.ndarray, cams: np.ndarray,
                   predicted: np.ndarray, start: int, stop: int, width: int,
                   reads_series: bool) -> None:
-    """Forward rows ``start:stop`` in ``width``-series micro-batches into ``cams``/``predicted``."""
-    # The grad mode is thread-local, so a pool thread sets its own.
-    with inference_mode():
+    """Forward rows ``start:stop`` in ``width``-series micro-batches into ``cams``/``predicted``.
+
+    One slice scratch serves every micro-batch (module docstring).
+    """
+    # The grad mode and the scratch are thread-local, so a pool thread sets its own.
+    with inference_mode(), SliceScratch() as scratch:
         for begin in range(start, stop, width):
             end = min(begin + width, stop)
             if reads_series:
@@ -310,6 +324,7 @@ def _forward_rows(model, permuted: np.ndarray, class_weights: np.ndarray, cams: 
             logits = model.classifier(model.gap(features))
             cams[begin:end] = np.einsum("bf,bfdn->bdn", class_weights[begin:end], features.data)
             predicted[begin:end] = logits.data.argmax(axis=1)
+            scratch.release_all()
 
 
 def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndarray,

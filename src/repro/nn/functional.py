@@ -2,14 +2,15 @@
 
 The convolution implementations use an im2col / col2im strategy so that the
 heavy lifting is done by vectorised NumPy matrix multiplications, which keeps
-CPU-only training of the paper's architectures tractable.  One row-layout
-:func:`_im2col` ``(B, C·kh·kw, out_h·out_w)`` serves every conv, training and
+CPU-only training of the paper's architectures tractable.  One row layout
+``(B, C·kh·kw, out_h·out_w)`` of cols serves every conv, training and
 inference: ``W.reshape(O, -1) @ cols`` lands contiguous NCHW, so the
 BatchNorm, ReLU and residual nodes that follow a training conv (and their
 gradients) run on contiguous memory.
 
 At inference every ``(1, ℓ)`` row block runs one stacked-GEMM kernel landing
-contiguous NCHW (:func:`fused_conv_bn_relu`); other convs run the training
+contiguous NCHW (:func:`fused_conv_bn_relu`), whose cols are ℓ shifted copies
+of the unpadded input (:func:`_row_cols`); other convs run the training
 conv's forward (:func:`_conv2d_forward`) without its backward closure.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import fused as _fused
 from .tensor import Tensor, is_grad_enabled
+from .workspace import active_slice_scratch
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +277,69 @@ def conv1d_input_grad(
     return np.squeeze(grad4, axis=2)
 
 
+def _fold_row_block(conv, bn, rotate: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """A row block's BatchNorm folded into a GEMM bank and a ``(1, O, 1, 1)`` shift.
+
+    The bank is ``W[:, :, 0, :]`` scaled per output channel and flattened to
+    ``(O, C·ℓ)``; with ``rotate`` its rows are rotated over the ``C(T)``
+    cube's rows, ``(O·D, D·ℓ)`` (:func:`cube_conv_bn_relu`).
+    """
+    channels = conv.in_channels
+    scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
+    shift = bn.bias.data - bn.running_mean * scale
+    if conv.bias is not None:
+        shift = shift + conv.bias.data * scale
+    weight = conv.weight.data[:, :, 0, :] * scale[:, None, None]  # (O, C, ℓ)
+    if rotate:
+        # Bank row (o, r) = W[o, (s - r) mod D, j]: cube row r of the series.
+        positions = np.arange(channels)
+        weight = weight[:, (positions[None, :] - positions[:, None]) % channels]
+    return weight.reshape(-1, channels * conv.kernel_size[1]), shift.reshape(1, -1, 1, 1)
+
+
+def _row_cols(x: np.ndarray, kw: int, pw: int, workspace) -> Tuple[np.ndarray, int]:
+    """The :func:`_im2col` of a ``(1, ℓ)`` stride-1 kernel, as ℓ shifted copies.
+
+    Tap ``j`` of ``cols`` (layout ``(B, C, ℓ, H, out_w)``) is ``x`` shifted by
+    ``j - pw`` columns: one slice copy of the unpadded input, with only the
+    pad border zeroed.  Returns ``cols`` and ``out_w``.
+    """
+    batch, channels, height, width = x.shape
+    out_w = width + 2 * pw - kw + 1
+    shape = (batch, channels * kw, height * out_w)
+    cols = np.empty(shape, x.dtype) if workspace is None else workspace.acquire(shape, x.dtype)
+    taps = cols.reshape(batch, channels, kw, height, out_w)
+    for j in range(kw):
+        tap = taps[:, :, j]
+        low, high = max(0, pw - j), min(out_w, width + pw - j)
+        if low >= high:
+            tap.fill(0)
+            continue
+        tap[..., low:high] = x[..., low + j - pw: high + j - pw]
+        if low:
+            tap[..., :low] = 0
+        if high < out_w:
+            tap[..., high:] = 0
+    return cols, out_w
+
+
 def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]],
                       rotate: bool) -> np.ndarray:
     """The one inference kernel of every row block ``Conv2d -> BatchNorm -> ReLU``.
 
-    Folds the BatchNorm into a kernel bank and a shift, builds the
-    ``(B, C·ℓ, H·W)`` row-layout :func:`_im2col` of the time-padded input,
-    and runs one stacked ``matmul`` that lands contiguous NCHW.  Every batch
-    item's product has the same shape, so its bits do not depend on the batch
-    width.  With ``rotate``, ``x`` is a ``(B, D, n)`` series and the bank is
-    rotated over the ``C(T)`` cube's rows (:func:`cube_conv_bn_relu`).
+    Folds the BatchNorm into a kernel bank and a shift
+    (:func:`_fold_row_block`), writes the ``(B, C·ℓ, H·W)`` row-layout cols
+    as shifted copies of the input (:func:`_row_cols`), and runs one stacked
+    ``matmul`` that lands contiguous NCHW.  Every batch item's product has
+    the same shape, so its bits do not depend on the batch width.  With
+    ``rotate``, ``x`` is a ``(B, D, n)`` series and the bank is rotated over
+    the ``C(T)`` cube's rows (:func:`cube_conv_bn_relu`).
+
+    Inside a dCAM forward slice (an active
+    :class:`~repro.nn.workspace.SliceScratch`) the fold is built once per
+    slice and the cols and output are the slice's scratch buffers, valid
+    until it releases them; elsewhere both are fresh every call.  The bits
+    are the same either way.
     """
     kh, kw = conv.kernel_size
     ph, pw = conv.padding if padding is None else padding
@@ -295,21 +350,19 @@ def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]
     if channels != conv.in_channels:
         raise ValueError(f"input has {channels} channels but the conv expects "
                          f"{conv.in_channels}")
-    out_channels = conv.out_channels
-    scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
-    shift = bn.bias.data - bn.running_mean * scale
-    if conv.bias is not None:
-        shift = shift + conv.bias.data * scale
-    weight = conv.weight.data[:, :, 0, :] * scale[:, None, None]  # (O, C, ℓ)
+    scratch = active_slice_scratch()
+    if scratch is None:
+        bank, shift = _fold_row_block(conv, bn, rotate)
+    else:
+        bank, shift = scratch.fold(conv, bn, rotate, lambda: _fold_row_block(conv, bn, rotate))
     if rotate:
-        # Bank row (o, r) = W[o, (s - r) mod D, j]: cube row r of the series.
-        positions = np.arange(channels)
-        weight = weight[:, (positions[None, :] - positions[:, None]) % channels]
         x = x[:, :, None, :]
-    cols, (height, out_w) = _im2col(x, (1, kw), (1, 1), (0, pw))
-    out = np.matmul(weight.reshape(-1, channels * kw), cols)
-    out = out.reshape(x.shape[0], out_channels, channels if rotate else height, out_w)
-    out += shift.reshape(1, out_channels, 1, 1)
+    cols, out_w = _row_cols(x, kw, pw, scratch)
+    shape = (x.shape[0], bank.shape[0], cols.shape[2])
+    out = np.matmul(bank, cols, out=None if scratch is None
+                    else scratch.acquire(shape, np.result_type(bank, cols)))
+    out = out.reshape(x.shape[0], conv.out_channels, channels if rotate else x.shape[2], out_w)
+    out += shift
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -339,8 +392,10 @@ def cube_conv_bn_relu(series: np.ndarray, conv, bn,
         out[o, r, t] = Σ_{s, j} W[o, (s - r) mod D, j] · S[s, t + j]
 
     i.e. the row kernel with a rotated ``(F·D, D·ℓ)`` bank over a
-    ``(batch, D·ℓ, n)`` im2col, D× smaller than the cube's.  Agrees with the
-    cube path to float round-off, not bitwise.
+    ``(batch, D·ℓ, n)`` im2col, D× smaller than the cube's.  The rotated
+    bank is a gather of ``F·D·D·ℓ`` weights: inside a dCAM forward slice it
+    is built once for all the slice's micro-batches, elsewhere on every
+    call.  Agrees with the cube path to float round-off, not bitwise.
     """
     return _row_conv_bn_relu(series, conv, bn, padding, rotate=True)
 

@@ -1,4 +1,4 @@
-"""Reusable scratch buffers for the fused training pipeline.
+"""Reusable scratch buffers for the fused training pipeline and dCAM forwards.
 
 The im2col / col2im strategy of :mod:`repro.nn.functional` allocates a patch
 matrix on every convolution forward and a padded gradient image on every
@@ -14,11 +14,16 @@ a buffer is only ever reused *across* steps, after the autograd closures that
 captured it have run.  Buffer contents are either fully overwritten (im2col)
 or explicitly zero-filled (col2im) before use, so reuse is invisible to the
 numerics.
+
+A :class:`SliceScratch` is the inference twin, entered by one dCAM forward
+slice (:func:`repro.core.dcam._forward_rows`) and read by the row kernel
+(:func:`repro.nn.functional._row_conv_bn_relu`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import threading
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,3 +68,49 @@ class Workspace:
         """Total bytes held by the workspace (free and in use)."""
         total = sum(b.nbytes for stack in self._free.values() for b in stack)
         return total + sum(b.nbytes for _, b in self._used)
+
+
+class _ActiveScratch(threading.local):
+    scratch: Optional["SliceScratch"] = None
+
+
+_active = _ActiveScratch()
+
+
+def active_slice_scratch() -> Optional["SliceScratch"]:
+    """The :class:`SliceScratch` entered on this thread, if any."""
+    return _active.scratch
+
+
+class SliceScratch(Workspace):
+    """One forward slice's scratch: buffers plus a memo of folded blocks.
+
+    A context manager that makes itself this thread's
+    :func:`active_slice_scratch` and restores the previous one on exit, on
+    return or raise alike.  Weights and BatchNorm statistics may change
+    between slices, never within one, so the memo lives exactly as long as
+    the scratch.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._folds: Dict[tuple, tuple] = {}
+        self._previous: List[Optional[SliceScratch]] = []
+
+    def fold(self, conv, bn, rotate: bool, build: Callable[[], tuple]) -> tuple:
+        """``build()`` for the ``(conv, bn, rotate)`` block, once per scratch."""
+        key = (id(conv), id(bn), rotate)
+        entry = self._folds.get(key)
+        if entry is None:
+            # Holding the modules keeps their ids from being reused.
+            entry = self._folds[key] = (conv, bn, build())
+        return entry[2]
+
+    def __enter__(self) -> "SliceScratch":
+        self._previous.append(_active.scratch)
+        _active.scratch = self
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        _active.scratch = self._previous.pop()
+        return False
