@@ -5,10 +5,10 @@ Two measurements on a tiny MTEX-CNN (the grad-CAM architecture):
 
 * **vjp vs recorded** — the explicit-VJP batch engine
   (``GradCAMExplainer.explain_batch``, forwards under ``inference_mode``, no
-  autograd tape) against the legacy recorded-graph path
-  (:func:`repro.core.gradcam.mtex_explanation`, one tracked forward +
-  backward per instance).  Parity to 1e-10 is verified first (exit non-zero
-  otherwise).
+  autograd tape) against the recorded-graph oracle
+  (``mtex_explanation`` in ``tests/oracles/gradcam.py``, one tracked
+  forward + backward per instance).  Parity to 1e-10 is verified first
+  (exit non-zero otherwise).
 * **float32 vs float64** — the same trained weights cast to the opt-in
   float32 tier: batched inference (logits) and batched explanation are timed
   at both precisions and the maximum relative deviation is recorded.  The
@@ -33,15 +33,16 @@ import platform
 import sys
 import time
 
-# Allow running straight from a checkout without installing the package.
+# Allow running straight from a checkout without installing the package; the
+# recorded-graph oracle lives with the tests.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(_REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_REPO_ROOT, "src"), os.path.join(_REPO_ROOT, "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import numpy as np  # noqa: E402
 
-from repro.core.gradcam import mtex_explanation  # noqa: E402
+from oracles.gradcam import mtex_explanation  # noqa: E402
 from repro.data.synthetic import make_type1_dataset  # noqa: E402
 from repro.experiments.config import get_scale  # noqa: E402
 from repro.explain import get_explainer  # noqa: E402

@@ -1,4 +1,4 @@
-"""Load benchmark: adaptive vs static serving under closed- and open-loop load.
+"""Load benchmark: the serving path under closed- and open-loop load.
 
 A tiny dCNN is trained and registered into a model artifact store, then a
 live HTTP server (ephemeral port, stdlib ``ThreadingHTTPServer``) is put
@@ -12,32 +12,25 @@ connections, in two shapes:
   responses; latency is measured from each request's *scheduled arrival*,
   so queueing delay under overload is visible (the coordinated-omission
   trap a closed loop hides).  Offered rates are auto-calibrated as
-  multiples (default ``0.5 / 1.0 / 1.2x``) of the measured static
-  closed-loop capacity, so the sweep spans under-load to overload on any
-  host CI runs it on.
+  multiples (default ``0.5 / 1.0 / 1.2x``) of the measured closed-loop
+  capacity, so the sweep spans under-load to overload on any host CI runs
+  it on.
 
-Two service configurations are compared:
+Every server runs the service as configured by default apart from the
+admission bound (``--max-queue-depth``): it flushes up to
+``--max-batch-size`` queued requests at once.  Before timing, its responses
+are verified **byte-identical** to serial per-request execution
+(``max_batch_size=1``; exits non-zero otherwise) — coalescing may not change
+response bytes.  Under overload the bounded per-group queue sheds with 429 +
+``Retry-After``; shed requests are counted and excluded from goodput.
 
-* **static** — the reference :class:`~repro.serve.policy.StaticBatchPolicy`
-  (a fixed flush size);
-* **adaptive** — :class:`~repro.serve.policy.AdaptiveBatchPolicy`, which
-  grows the flush size under backlog (amortising per-flush overhead into
-  higher goodput) and shrinks it when flushes exceed the latency budget.
-
-Before timing, adaptive-policy responses are verified **byte-identical** to
-serial per-request execution (exits non-zero otherwise) — no batching policy
-may change response bytes.  Under overload the bounded per-group queue sheds
-with 429 + ``Retry-After``; shed requests are counted and excluded from
-goodput.
-
-The headline ``goodput_speedup`` compares the policies at the highest
-offered rate with the noise discipline a shared CI host demands: A-B-A
-trial groups (static, adaptive, static — each group re-calibrated from a
-fresh closed-loop probe, adaptive judged against the mean of its flanking
-static trials to cancel linear host-speed drift), with the median group
-ratio as the verdict.  It must exceed ``--min-speedup`` (default 1.0:
-adaptive strictly better) or the benchmark exits non-zero.  Emits JSON to
-``benchmarks/results/serve_load.json`` for the CI perf gate.
+At the highest offered rate the harness runs ``--pairs`` trial groups, each
+a fresh server whose offered rate is re-calibrated from its own closed-loop
+probe, plus a repeat at the same rate; ``static_goodput_per_second`` is the
+median over those trials.  That line and the closed-loop
+``closed_loop.static.goodput_per_second`` are gated against the committed
+baseline by ``check_regression.py``.  Emits JSON to
+``benchmarks/results/serve_load.json``.
 
 Run directly (no install needed)::
 
@@ -117,18 +110,9 @@ def build_store(directory, scale, dataset, epochs):
     return store
 
 
-def make_service(store, policy, args):
+def make_service(store, args):
     config = ServeConfig(
-        batch_policy=policy,
         max_batch_size=args.max_batch_size,
-        # The adaptive policy explores *above* the static reference width,
-        # never below it: on a loaded host the latency budget could otherwise
-        # walk the flush size down to serial dispatch and lose the comparison
-        # to measurement noise rather than to a real effect.
-        min_batch_size=args.max_batch_size,
-        max_adaptive_batch_size=args.max_adaptive_batch_size,
-        policy_hysteresis=2,
-        policy_latency_budget_ms=args.latency_budget_ms,
         max_queue_depth=args.max_queue_depth,
     )
     return ExplanationService(store, cache=ExplanationCache(), config=config)
@@ -309,7 +293,7 @@ def open_loop(address, templates, rate, duration, n_workers):
 # ---------------------------------------------------------------------------
 
 def verify_parity(store, dataset, args):
-    """Adaptive-policy responses must be byte-identical to serial execution."""
+    """Batched responses must be byte-identical to serial execution."""
     seeds = list(next_seeds(48))
 
     def replay(service):
@@ -324,36 +308,35 @@ def verify_parity(store, dataset, args):
         with ThreadPoolExecutor(max_workers=args.clients) as pool:
             return list(pool.map(one, seeds))
 
-    adaptive_service = make_service(store, "adaptive", args)
+    batched = make_service(store, args)
     serial = ExplanationService(
         store, cache=ExplanationCache(),
         config=ServeConfig(max_batch_size=1),
     )
     try:
-        left, right = replay(adaptive_service), replay(serial)
+        left, right = replay(batched), replay(serial)
     finally:
-        adaptive_service.close()
+        batched.close()
         serial.close()
     for index, ((heatmap_a, ratio_a), (heatmap_b, ratio_b)) in enumerate(zip(left, right)):
         if not np.array_equal(heatmap_a, heatmap_b) or ratio_a != ratio_b:
-            raise SystemExit(f"FAIL: adaptive response #{index} deviates from serial")
-    print(f"[parity] {len(seeds)} adaptive responses byte-identical to serial")
+            raise SystemExit(f"FAIL: batched response #{index} deviates from serial")
+    print(f"[parity] {len(seeds)} batched responses byte-identical to serial")
 
 
 # ---------------------------------------------------------------------------
 # Measurement points
 # ---------------------------------------------------------------------------
 
-def with_server(store, policy, args, measure):
+def with_server(store, args, measure):
     """Spin an ephemeral server, warm it under load, measure, tear down."""
-    service = make_service(store, policy, args)
+    service = make_service(store, args)
     server, _thread = serve_in_background(service)
     try:
         address = server.server_address[:2]
         templates = args._templates
-        # Warm under concurrency: fills the artifact cache, spins up the
-        # per-group worker, and lets the adaptive policy converge before the
-        # timer starts (its whole point is steady-state behaviour).
+        # Warm under concurrency: fills the artifact cache and spins up the
+        # per-group worker before the timer starts.
         closed_loop(address, templates, args.clients, args.warmup)
         gc.collect()
         return measure(address, templates)
@@ -378,27 +361,18 @@ def main(argv=None):
                         help="seconds of closed-loop warmup per server")
     parser.add_argument("--rates", default="0.5,1.0,1.2",
                         help="open-loop offered rates as multiples of the "
-                             "measured static closed-loop capacity")
+                             "measured closed-loop capacity")
     parser.add_argument("--k", type=int, default=8,
                         help="dCAM permutations per explain request")
     parser.add_argument("--epochs", type=int, default=5,
                         help="training epochs of the tiny served model")
     parser.add_argument("--max-batch-size", type=int, default=defaults.max_batch_size,
-                        help="static flush size / adaptive starting point")
-    parser.add_argument("--max-adaptive-batch-size", type=int,
-                        default=defaults.max_adaptive_batch_size,
-                        help="hard cap of the adaptive flush size "
-                             "(default: ServeConfig's)")
-    parser.add_argument("--latency-budget-ms", type=float, default=500.0,
-                        help="adaptive per-flush latency budget")
+                        help="flush size (default: ServeConfig's)")
     parser.add_argument("--pairs", type=int, default=3,
-                        help="interleaved static/adaptive trial pairs at the "
-                             "top offered rate (median ratio is the headline)")
+                        help="re-calibrated trial groups at the top offered "
+                             "rate, each a calibrated trial and a repeat")
     parser.add_argument("--max-queue-depth", type=int, default=256,
                         help="admission watermark (in-flight bound per group)")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="exit non-zero unless adaptive goodput at the "
-                             "top offered rate exceeds static by this factor")
     parser.add_argument("--output",
                         default=os.path.join(RESULTS_DIR, "serve_load.json"),
                         help="where to write the JSON record")
@@ -414,55 +388,47 @@ def main(argv=None):
         store.load(ARTIFACT)  # warm the artifact cache outside the timers
         verify_parity(store, dataset, args)
 
-        closed = {}
-        for policy in ("static", "adaptive"):
-            closed[policy] = with_server(
-                store, policy, args,
-                lambda address, templates: closed_loop(
-                    address, templates, args.clients, args.duration),
-            )
-            print(f"[closed] {policy:8s} goodput {closed[policy]['goodput_per_second']:8.1f} req/s"
-                  f"   p50 {closed[policy]['p50_ms']:7.1f}ms"
-                  f"   p99 {closed[policy]['p99_ms']:7.1f}ms")
+        closed = with_server(
+            store, args,
+            lambda address, templates: closed_loop(
+                address, templates, args.clients, args.duration),
+        )
+        print(f"[closed] goodput {closed['goodput_per_second']:8.1f} req/s"
+              f"   p50 {closed['p50_ms']:7.1f}ms"
+              f"   p99 {closed['p99_ms']:7.1f}ms")
 
-        capacity = closed["static"]["goodput_per_second"]
+        capacity = closed["goodput_per_second"]
 
-        def open_point(policy, rate):
-            result = with_server(
-                store, policy, args,
-                lambda address, templates: open_loop(
-                    address, templates, rate, args.duration, args.open_workers),
-            )
-            print(f"[open] {policy:8s} offered {rate:7.1f}/s"
+        def report(result):
+            print(f"[open] offered {result['offered_per_second']:7.1f}/s"
                   f"   goodput {result['goodput_per_second']:8.1f}/s"
                   f"   p99 {result['p99_ms']:8.1f}ms"
                   f"   shed {result['shed']}")
             return result
 
+        def open_point(rate):
+            return report(with_server(
+                store, args,
+                lambda address, templates: open_loop(
+                    address, templates, rate, args.duration, args.open_workers),
+            ))
+
         open_points = []
         for factor in rate_factors[:-1]:
             rate = capacity * factor
-            point = {"factor": factor, "offered_per_second": rate}
-            for policy in ("static", "adaptive"):
-                point[policy] = open_point(policy, rate)
-            open_points.append(point)
+            open_points.append({"factor": factor, "offered_per_second": rate,
+                                "static": open_point(rate)})
 
-        # Top offered rate: interleaved A-B-A trial groups (static,
-        # adaptive, static) so both policies see the same phase of host
-        # noise; the headline is the median per-group ratio of adaptive
-        # goodput over the *mean of its two flanking static trials*, which
-        # cancels linear host-speed drift inside a group.  Each group also
-        # re-calibrates its offered rate from a closed-loop probe of its
-        # own first static server — host speed drifts on shared machines,
-        # and a stale capacity estimate would land the "overload" point
-        # anywhere between underload (both policies tie at the offered
-        # rate) and deep collapse (pure noise).
+        # Top offered rate: each trial group re-calibrates its offered rate
+        # from a closed-loop probe of its own first server, then repeats the
+        # point on a fresh server at the same rate.  Host speed drifts on
+        # shared machines, and a stale capacity estimate would land the
+        # "overload" point anywhere between underload and deep collapse.
         top_factor = rate_factors[-1]
-        trials = {"static": [], "adaptive": []}
-        pair_ratios = []
-        for pair in range(max(1, args.pairs)):
+        trials = []
+        for _ in range(max(1, args.pairs)):
 
-            def calibrated_static(address, templates):
+            def calibrated(address, templates):
                 probe = closed_loop(address, templates, args.clients,
                                     max(0.75, args.warmup))
                 rate = probe["goodput_per_second"] * top_factor
@@ -471,42 +437,21 @@ def main(argv=None):
                 result["calibrated_capacity"] = probe["goodput_per_second"]
                 return result
 
-            static_before = with_server(store, "static", args, calibrated_static)
-            rate = static_before["offered_per_second"]
-            print(f"[open] {'static':8s} offered {rate:7.1f}/s"
-                  f"   goodput {static_before['goodput_per_second']:8.1f}/s"
-                  f"   p99 {static_before['p99_ms']:8.1f}ms"
-                  f"   shed {static_before['shed']}")
-            adaptive_trial = open_point("adaptive", rate)
-            static_after = open_point("static", rate)
-            trials["static"].extend([static_before, static_after])
-            trials["adaptive"].append(adaptive_trial)
-            static_goodput = 0.5 * (
-                static_before["goodput_per_second"]
-                + static_after["goodput_per_second"]
-            )
-            pair_ratios.append(adaptive_trial["goodput_per_second"] / static_goodput)
-        goodput_speedup = percentile(pair_ratios, 0.5)
+            first = report(with_server(store, args, calibrated))
+            trials.extend([first, open_point(first["offered_per_second"])])
         top = {
             "factor": top_factor,
             "offered_per_second": percentile(
-                [trial["offered_per_second"] for trial in trials["static"]], 0.5),
+                [trial["offered_per_second"] for trial in trials], 0.5),
             "static": percentile(
-                [trial["goodput_per_second"] for trial in trials["static"]], 0.5),
-            "adaptive": percentile(
-                [trial["goodput_per_second"] for trial in trials["adaptive"]], 0.5),
-            "static_trials": trials["static"],
-            "adaptive_trials": trials["adaptive"],
-            "pair_ratios": pair_ratios,
+                [trial["goodput_per_second"] for trial in trials], 0.5),
+            "static_trials": trials,
         }
         open_points.append(top)
-    closed_speedup = (
-        closed["adaptive"]["goodput_per_second"] / closed["static"]["goodput_per_second"]
-    )
-    print(f"[serve-load] closed-loop adaptive/static {closed_speedup:.2f}x;"
+    print(f"[serve-load] closed-loop goodput {capacity:.1f} req/s;"
           f" top offered rate ({top['factor']:g}x capacity)"
-          f" median-of-pairs goodput speedup {goodput_speedup:.2f}x"
-          f" (pairs: {', '.join(f'{ratio:.2f}' for ratio in top['pair_ratios'])})")
+          f" median goodput {top['static']:.1f} req/s"
+          f" over {len(trials)} trials")
 
     record = {
         "benchmark": "serve_load",
@@ -516,18 +461,10 @@ def main(argv=None):
         "duration_seconds": args.duration,
         "k": args.k,
         "max_batch_size": args.max_batch_size,
-        "max_adaptive_batch_size": args.max_adaptive_batch_size,
-        "latency_budget_ms": args.latency_budget_ms,
         "max_queue_depth": args.max_queue_depth,
-        "closed_loop": {
-            "static": closed["static"],
-            "adaptive": closed["adaptive"],
-            "closed_goodput_speedup": closed_speedup,
-        },
+        "closed_loop": {"static": closed},
         "open_loop": open_points,
         "static_goodput_per_second": top["static"],
-        "adaptive_goodput_per_second": top["adaptive"],
-        "goodput_speedup": goodput_speedup,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
@@ -537,13 +474,6 @@ def main(argv=None):
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[serve-load] wrote {args.output}")
-
-    if goodput_speedup <= args.min_speedup:
-        raise SystemExit(
-            f"FAIL: adaptive goodput at the top offered rate is only "
-            f"{goodput_speedup:.2f}x static (required > {args.min_speedup:g}); "
-            "the feedback loop is not paying for itself"
-        )
     return 0
 
 

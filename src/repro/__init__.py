@@ -45,8 +45,6 @@ from .core import (
     class_activation_map,
     compute_dcam,
     compute_dcam_batch,
-    grad_cam,
-    mtex_explanation,
 )
 from .data import (
     MultivariateDataset,
@@ -101,8 +99,6 @@ __all__ = [
     "compute_dcam",
     "compute_dcam_batch",
     "DCAMResult",
-    "grad_cam",
-    "mtex_explanation",
     "MultivariateDataset",
     "SyntheticConfig",
     "make_type1_dataset",

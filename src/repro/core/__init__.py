@@ -18,7 +18,6 @@ from .dcam import (
     merge_permutation_cams,
     permutation_rows,
 )
-from .gradcam import grad_cam, mtex_explanation, mtex_grad_cam
 from .input_transform import (
     build_cube,
     build_cube_batch,
@@ -42,9 +41,6 @@ __all__ = [
     "class_activation_map",
     "cam_as_multivariate",
     "predicted_class",
-    "grad_cam",
-    "mtex_grad_cam",
-    "mtex_explanation",
     "DCAMResult",
     "compute_dcam",
     "compute_dcam_batch",

@@ -5,7 +5,9 @@ GAP + dense head: the kernel weights ``w_m`` are replaced by the average
 gradient of the class score with respect to each feature map.  The paper uses
 grad-CAM to obtain the explanation of the MTEX-CNN baseline ("MTEX-grad"),
 which produces the per-dimension attribution from block 1 and the temporal
-attribution from block 2.
+attribution from block 2.  :func:`mtex_vjp_maps` computes both gradients by
+explicit VJP, without recording a graph; the recorded-graph reference it is
+checked against lives in the test oracles (``tests/oracles/gradcam.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, inference_mode
+from ..nn import inference_mode
 from ..nn import functional as F
 
 
@@ -32,42 +34,6 @@ def gradcam_maps(maps: np.ndarray, grads: np.ndarray, relu: bool = True) -> np.n
     if relu:
         cams = np.maximum(cams, 0.0)
     return cams
-
-
-def gradcam_batch_from(features: Tensor, relu: bool = True) -> np.ndarray:
-    """Per-instance grad-CAM maps from batched features with gradients.
-
-    ``features`` must have been part of a graph on which ``backward`` was
-    already called, so its ``grad`` attribute holds ``∂y_c / ∂A`` — with one
-    leading batch axis.  Each instance's maps are combined independently, so
-    this is the batch generalisation of the classic grad-CAM weight/combine
-    step (the recorded-graph reference the VJP engine is pinned against).
-    """
-    if features.grad is None:
-        raise RuntimeError("features have no gradient; call backward() on the class score first")
-    return gradcam_maps(features.data, features.grad, relu=relu)
-
-
-def _gradcam_from(features: Tensor, relu: bool = True) -> np.ndarray:
-    """One instance's grad-CAM heatmap (batch-size-1 graphs)."""
-    return gradcam_batch_from(features, relu=relu)[0]
-
-
-def mtex_forward(model: "MTEXCNNClassifier", prepared: Tensor
-                 ) -> Tuple[Tensor, Tensor, Tensor]:
-    """MTEX-CNN forward pass exposing both explainable feature blocks.
-
-    Returns ``(block1, block2, logits)`` — the per-dimension maps, the
-    temporal maps after the dimension merge, and the class logits.  Shared by
-    the per-instance grad-CAM below and the batched explain engine so the
-    explanation always follows the architecture's one forward definition.
-    """
-    block1 = model.block1_features(prepared)
-    merged = model.merge(block1).squeeze(axis=2)
-    block2 = model.block2(merged)
-    pooled = F.global_average_pool(block2)
-    logits = model.output(model.hidden(pooled).relu())
-    return block1, block2, logits
 
 
 def combine_mtex_maps(dimension_map: np.ndarray, temporal_map: np.ndarray) -> np.ndarray:
@@ -88,10 +54,11 @@ def mtex_vjp_maps(model: "MTEXCNNClassifier", X: np.ndarray,
                   class_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Graph-free MTEX-grad maps for a raw batch: explicit VJP, no autograd.
 
-    The recorded-graph path (:func:`mtex_grad_cam`) re-runs the forward with
-    gradient tracking and walks the tape; this twin computes the same two
-    gradients directly, so the forward runs under ``inference_mode`` (fused
-    eval kernels, no graph) and the backward is four dense/scatter kernels:
+    The recorded-graph reference (``tests/oracles/gradcam.py``) re-runs the
+    forward with gradient tracking and walks the tape; this twin computes the
+    same two gradients directly, so the forward runs under ``inference_mode``
+    (fused eval kernels, no graph) and the backward is four dense/scatter
+    kernels:
 
     * head: the one-hot class gradient through the dense layers is a row
       gather of the output weights, masked by the hidden ReLU and contracted
@@ -153,53 +120,3 @@ def mtex_vjp_maps(model: "MTEXCNNClassifier", X: np.ndarray,
     dimension_maps = gradcam_maps(b1, g_b1, relu=True)
     return dimension_maps, temporal_maps
 
-
-def grad_cam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,
-             relu: bool = True) -> np.ndarray:
-    """grad-CAM for any GAP-headed architecture (sanity baseline).
-
-    Returns a heatmap with the same spatial shape as the architecture's last
-    convolutional feature maps.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    model.eval()
-    prepared = model.prepare_input(series[None])
-    features = model.features(prepared)
-    logits = model.classifier(model.gap(features))
-    score = logits[0, class_id]
-    score.backward()
-    return _gradcam_from(features, relu=relu)
-
-
-def mtex_grad_cam(model: "MTEXCNNClassifier", series: np.ndarray, class_id: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """The two grad-CAM maps of MTEX-CNN.
-
-    Returns
-    -------
-    dimension_map:
-        ``(D, n)`` attribution from block 1 (which dimension, which time).
-    temporal_map:
-        ``(n,)`` attribution from block 2 (which time window).
-    """
-    series = np.asarray(series, dtype=np.float64)
-    model.eval()
-    prepared = model.prepare_input(series[None])
-    block1, block2, logits = mtex_forward(model, prepared)
-    score = logits[0, class_id]
-    score.backward()
-    dimension_map = _gradcam_from(block1, relu=True)
-    temporal_map = _gradcam_from(block2, relu=True)
-    return dimension_map, temporal_map
-
-
-def mtex_explanation(model: "MTEXCNNClassifier", series: np.ndarray, class_id: int) -> np.ndarray:
-    """Combined MTEX-grad explanation used for Dr-acc (a ``(D, n)`` map).
-
-    The per-dimension map of block 1 is modulated by the temporal map of
-    block 2 so that both the "which dimension" and "which time window"
-    answers contribute, mirroring how the paper scores MTEX-grad against the
-    ground-truth masks.
-    """
-    dimension_map, temporal_map = mtex_grad_cam(model, series, class_id)
-    return combine_mtex_maps(dimension_map, temporal_map)

@@ -8,9 +8,8 @@ merge convolution — :meth:`GradCAMExplainer.explain` is simply the batch
 engine at width 1, so the two paths are bit-identical by construction.
 Instances do not interact in eval mode (batch normalisation uses running
 statistics), so each instance's maps equal its single-instance maps.  The
-recorded-graph path (:func:`repro.core.gradcam.mtex_explanation`) is retained
-as the reference; the VJP engine agrees with it to float round-off (≤ 1e-10,
-pinned by tests).
+recorded-graph reference, ``mtex_explanation`` in ``tests/oracles/gradcam.py``,
+agrees with the VJP engine to float round-off (≤ 1e-10, pinned by tests).
 """
 
 from __future__ import annotations

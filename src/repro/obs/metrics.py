@@ -69,7 +69,7 @@ class Counter:
 
 
 class Gauge:
-    """A named, thread-safe last-value metric (queue depth, policy state).
+    """A named, thread-safe last-value metric (queue depth, in-flight total).
 
     Unlike :class:`Counter` a gauge moves in both directions: ``set`` replaces
     the value, ``adjust`` moves it relative to the current one (and returns

@@ -386,6 +386,13 @@ def _remote_store(address: Optional[str]):
     return RemoteByteStore(address)
 
 
+def _result_cache(args: argparse.Namespace) -> Optional[ResultCache]:
+    """``--cache-dir`` / ``--remote-store`` → a :class:`ResultCache` (or None)."""
+    if not (args.cache_dir or args.remote_store):
+        return None
+    return ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
+
+
 def _make_run_executor(args: argparse.Namespace) -> Executor:
     if args.executor == "fleet":
         from ..dist import FleetConfig, FleetExecutor
@@ -439,11 +446,7 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     scale = _build_scale(args)
     executor = _make_run_executor(args)
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
 
     print(
         f"[repro] running {entry.name} at scale={scale.name} "
@@ -576,11 +579,7 @@ def _command_export_model(args: argparse.Namespace) -> int:
         config_seed=args.base_seed,
     )
     spec = ExperimentSpec(name="export-model", scale=scale, units=(unit,))
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
 
     print(
         f"[repro] training {args.model} at scale={scale.name} "
@@ -635,6 +634,8 @@ def _command_export_model(args: argparse.Namespace) -> int:
 
 
 def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    from ..obs import ObsConfig
+    from ..serve.cache import DEFAULT_MEMORY_BYTES
     from ..serve.service import ServeConfig
 
     defaults = ServeConfig()
@@ -651,32 +652,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         default=defaults.max_batch_size,
         metavar="N",
         help="most requests one micro-batcher flush takes; 1 disables "
-        "coalescing; the adaptive policy starts here "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--policy",
-        default=defaults.batch_policy,
-        choices=["static", "adaptive"],
-        help="batching policy: a fixed flush size, or a "
-        "feedback-driven size adapted to observed "
-        "queue depth / flush latency (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-adaptive-batch-size",
-        type=int,
-        default=defaults.max_adaptive_batch_size,
-        metavar="N",
-        help="hard upper bound of the adaptive policy's flush size (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--latency-budget-ms",
-        type=float,
-        default=defaults.policy_latency_budget_ms,
-        metavar="MS",
-        help="adaptive policy's per-flush latency budget: "
-        "sustained flushes above it shrink the batch "
-        "(default: %(default)g)",
+        "coalescing (default: %(default)s)",
     )
     parser.add_argument(
         "--max-queue-depth",
@@ -701,9 +677,9 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-memory-mb",
         type=float,
-        default=64.0,
+        default=DEFAULT_MEMORY_BYTES / (1024 * 1024),
         metavar="MB",
-        help="LRU bound of the in-memory cache tier (default: 64)",
+        help="LRU bound of the in-memory cache tier (default: %(default)g)",
     )
     parser.add_argument(
         "--cache-disk-mb",
@@ -713,11 +689,11 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--precision",
-        default="float64",
+        default=defaults.precision,
         choices=["float64", "float32"],
         help="serving compute precision: float64 (bit-exact "
-        "reference, default) or float32 (opt-in fast tier; "
-        "responses cached under precision-qualified keys)",
+        "reference) or float32 (opt-in fast tier; responses cached "
+        "under precision-qualified keys) (default: %(default)s)",
     )
     parser.add_argument(
         "--max-total-depth",
@@ -737,11 +713,11 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-sample-rate",
         type=float,
-        default=0.0,
+        default=ObsConfig().trace_sample_rate,
         metavar="RATE",
         help="fraction of requests traced end-to-end (0..1); sampled "
-        "spans are exported at /trace and `repro trace-dump --url` "
-        "(default: 0, tracing off)",
+        "spans are exported at /trace and `repro trace-dump --url`; "
+        "0 turns tracing off (default: %(default)g)",
     )
 
 
@@ -769,9 +745,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
-        batch_policy=args.policy,
-        max_adaptive_batch_size=args.max_adaptive_batch_size,
-        policy_latency_budget_ms=args.latency_budget_ms,
         max_queue_depth=args.max_queue_depth or None,
         max_total_depth=args.max_total_depth,
         drain_timeout_s=args.drain_timeout_s,
@@ -782,7 +755,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(
         f"[repro] serving {len(names)} model(s) from {args.store}: "
         f"{', '.join(names)} "
-        f"[policy {service.batcher.policy.describe()}, "
+        f"[flush size {service.batcher.max_batch_size}, "
         f"queue bound {config.max_queue_depth or 'unbounded'}]"
         + (f" [remote store {args.remote_store}]" if args.remote_store else ""),
         file=sys.stderr,
@@ -1113,11 +1086,7 @@ def _command_worker(args: argparse.Namespace) -> int:
     from ..obs.tracing import Tracer
     from ..obs import Telemetry
 
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
     worker_id = args.worker_id or default_worker_id()
     telemetry = Telemetry()
     tracer = Tracer(sample_rate=0.0, process=f"worker:{worker_id}")

@@ -11,11 +11,10 @@ served by an :class:`ExplanationService` that
   (model, kind) group (responses are byte-identical to per-request
   execution — see :mod:`repro.serve.engine`),
 * flushes as soon as a group's worker holds a request (work-conserving:
-  no request waits on an idle worker), adapts its flush size to the
-  observed load through a pluggable :class:`BatchPolicy`
-  (:mod:`repro.serve.policy`) and sheds
-  load with bounded per-group queues (:class:`QueueFullError` → HTTP 429
-  + ``Retry-After``) once an admission watermark is hit,
+  no request waits on an idle worker), takes up to ``max_batch_size``
+  queued requests into one flush, and sheds load with bounded per-group
+  queues (:class:`QueueFullError` → HTTP 429 + ``Retry-After``) once an
+  admission watermark is hit,
 * answers repeated work from a content-addressed :class:`ExplanationCache`
   (memory + disk tiers, LRU-bounded), and
 * exposes everything over a stdlib JSON/HTTP server (:mod:`repro.serve.http`).
@@ -28,7 +27,6 @@ from .batcher import MicroBatcher, QueueFullError
 from .cache import ExplanationCache, content_key, response_cache_key, stream_window_key
 from .engine import ParityReport, probe_batch_parity, serve_logits
 from .http import ServiceHTTPServer, make_server, run_server, serve_in_background
-from .policy import AdaptiveBatchPolicy, BatchPolicy, StaticBatchPolicy
 from .service import (
     ClassifyResponse,
     ExplainResponse,
@@ -46,9 +44,6 @@ __all__ = [
     "stream_window_key",
     "MicroBatcher",
     "QueueFullError",
-    "BatchPolicy",
-    "StaticBatchPolicy",
-    "AdaptiveBatchPolicy",
     "ExplanationService",
     "ServeConfig",
     "ClassifyResponse",

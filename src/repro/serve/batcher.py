@@ -9,15 +9,11 @@ groups overlap freely.
 
 The batcher is **work-conserving**: a group's worker never holds a request
 while it is idle.  As soon as it holds one it flushes everything already
-queued, up to the policy's flush size, to the ``execute`` callable.  Nothing
-waits for companions that have not arrived; under load, batches form from
-the requests that queued behind a running flush.  The flush size comes from
-a pluggable :class:`~repro.serve.policy.BatchPolicy` consulted once per
-flush and fed back the width, wall clock and remaining backlog of every
-flush — a :class:`StaticBatchPolicy` holds it constant (``max_batch_size=1``
-is the serial per-request dispatch mode the throughput benchmark compares
-against), an :class:`~repro.serve.policy.AdaptiveBatchPolicy` tunes it from
-the observed load.
+queued, up to ``max_batch_size`` requests, to the ``execute`` callable.
+Nothing waits for companions that have not arrived; under load, batches form
+from the requests that queued behind a running flush.  The flush size is a
+constant: ``max_batch_size=1`` is the serial per-request dispatch mode the
+throughput benchmark compares against.
 
 Admission control: ``max_queue_depth`` bounds each group's in-flight
 requests (queued + executing).  A submit over the bound fails fast with
@@ -36,8 +32,8 @@ The ``execute(group_key, requests)`` callable runs on the group's worker
 thread and must return one result per request (order-preserving); an
 exception fails every future of the flush.  Results must not depend on how
 requests were grouped — the engine layer (:mod:`repro.serve.engine`)
-guarantees that, so neither the per-group workers nor any batching policy
-can change response bytes.
+guarantees that, so neither the per-group workers nor the flush size can
+change response bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.tracing import TraceContext, activate, current, span
 from ..obs import Telemetry
-from .policy import BatchPolicy, StaticBatchPolicy
 
 #: Default flush size: the most requests one engine call takes.
 DEFAULT_MAX_BATCH_SIZE = 8
@@ -80,10 +75,6 @@ class QueueFullError(RuntimeError):
 class _Pending:
     request: Any
     future: Future
-    #: Relative execution cost (e.g. a dCAM request's permutation count ``k``);
-    #: summed per flush and reported to the policy so queue pressure is
-    #: measured in work, not request count.
-    cost: float = 1.0
     enqueued_at: float = field(default_factory=time.perf_counter)
     #: Trace context captured on the *submitting* thread — the flush runs on
     #: the group's worker thread, where the submitter's context variable is
@@ -105,8 +96,6 @@ class _GroupWorker:
         self.group_key = group_key
         self.queue: "queue.Queue" = queue.Queue()
         self.depth = 0
-        #: Summed cost of the in-flight requests (same accounting as depth).
-        self.cost_in_flight = 0.0
         self.depth_lock = threading.Lock()
         #: EWMA of per-request service seconds; drives retry-after estimates.
         self.request_seconds: Optional[float] = None
@@ -118,21 +107,19 @@ class _GroupWorker:
         self.thread.start()
 
     # ------------------------------------------------------------------
-    def admit(self, cost: float = 1.0) -> bool:
+    def admit(self) -> bool:
         """Reserve one in-flight slot; False when the bound is hit."""
         limit = self.batcher.max_queue_depth
         with self.depth_lock:
             if limit is not None and self.depth >= limit:
                 return False
             self.depth += 1
-            self.cost_in_flight += cost
         self._publish_depth()
         return True
 
-    def release(self, count: int = 1, cost: float = 0.0) -> None:
+    def release(self, count: int = 1) -> None:
         with self.depth_lock:
             self.depth -= count
-            self.cost_in_flight = max(0.0, self.cost_in_flight - cost)
         self.batcher._release_total(count)
         self._publish_depth()
 
@@ -155,12 +142,7 @@ class _GroupWorker:
             kind = self.group_key[1]
         else:
             kind = "other"
-        batch_cost = sum(pending.cost for pending in batch)
         started = time.perf_counter()
-        # Batcher-visible queueing delay of this flush: how long its oldest
-        # request sat before execution began.  Reported to the policy so an
-        # adaptive width answers to end-to-end latency, not just flush time.
-        queue_seconds = max(0.0, started - batch[0].enqueued_at)
         # Per-request queue-wait distribution, plus a queue span per *traced*
         # request.  Engine/cache spans of a coalesced flush attribute to the
         # first traced request of the batch (the flush runs once for all of
@@ -188,21 +170,12 @@ class _GroupWorker:
                     self._execute_batch(batch)
         finally:
             elapsed = time.perf_counter() - started
-            self.release(len(batch), batch_cost)
+            self.release(len(batch))
             per_request = elapsed / len(batch)
             if self.request_seconds is None:
                 self.request_seconds = per_request
             else:
                 self.request_seconds += 0.3 * (per_request - self.request_seconds)
-            self.batcher.policy.observe(
-                self.group_key,
-                len(batch),
-                elapsed,
-                queue_depth=self.depth,
-                batch_cost=batch_cost,
-                queue_cost=self.cost_in_flight,
-                queue_seconds=queue_seconds,
-            )
 
     def _execute_batch(self, batch: List[_Pending]) -> None:
         execute = self.batcher._execute
@@ -237,7 +210,7 @@ class _GroupWorker:
             # the flush size: requests that piled up behind the previous
             # flush coalesce, and a lone request is flushed at once.  The
             # rest stays queued, where close(timeout) can still fail it.
-            size = self.batcher.policy.decision(self.group_key)
+            size = self.batcher.max_batch_size
             batch: List[_Pending] = []
             item = self.queue.get()
             while item is not _SHUTDOWN:
@@ -272,7 +245,7 @@ class _GroupWorker:
             else:
                 if item.future.set_running_or_notify_cancel():
                     item.future.set_exception(error_factory())
-                self.release(cost=item.cost)
+                self.release()
                 failed += 1
         return failed
 
@@ -284,14 +257,11 @@ class MicroBatcher:
     ----------
     execute:
         ``execute(group_key, requests) -> results`` — evaluated on the
-        group's worker thread with between 1 and the policy's flush size
-        requests per call.
+        group's worker thread with between 1 and ``max_batch_size`` requests
+        per call.
     max_batch_size:
-        Flush size of the default static policy; ``1`` disables coalescing
-        (serial dispatch).  Ignored when ``policy`` is given.
-    policy:
-        A :class:`~repro.serve.policy.BatchPolicy`; defaults to
-        ``StaticBatchPolicy(max_batch_size)``.
+        Flush size: the most requests one ``execute`` call takes, clamped to
+        at least 1; ``1`` disables coalescing (serial dispatch).
     max_queue_depth:
         Per-group bound on in-flight requests (queued + executing); submits
         over it raise :class:`QueueFullError`.  ``None`` disables shedding.
@@ -318,13 +288,12 @@ class MicroBatcher:
         execute: Callable[[Hashable, List[Any]], List[Any]],
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         telemetry: Optional[Telemetry] = None,
-        policy: Optional[BatchPolicy] = None,
         max_queue_depth: Optional[int] = None,
         max_total_depth: Optional[int] = None,
         shed_watermark: float = 0.75,
     ) -> None:
         self._execute = execute
-        self.policy = policy if policy is not None else StaticBatchPolicy(max_batch_size)
+        self.max_batch_size = max(1, int(max_batch_size))
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_total_depth is not None and max_total_depth < 1:
@@ -348,15 +317,8 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def submit(
-        self, group_key: Hashable, request: Any, cost: float = 1.0, priority: int = 0
-    ) -> "Future":
+    def submit(self, group_key: Hashable, request: Any, priority: int = 0) -> "Future":
         """Enqueue ``request`` under ``group_key``; resolve via the future.
-
-        ``cost`` is the request's relative execution weight (the serving layer
-        passes a dCAM explain's permutation count ``k``); a cost-aware policy
-        sizes flushes from the summed cost of the backlog rather than the raw
-        request count.  The default ``1.0`` reproduces count-based behaviour.
 
         ``priority`` only matters under a global ``max_total_depth`` bound:
         priority-0 submits shed at the ``shed_watermark`` fraction of it,
@@ -367,9 +329,7 @@ class MicroBatcher:
         :class:`QueueFullError` when the group's or the global in-flight
         bound is hit.
         """
-        if not cost > 0.0:
-            raise ValueError(f"cost must be > 0, got {cost}")
-        pending = _Pending(request=request, future=Future(), cost=float(cost), trace=current())
+        pending = _Pending(request=request, future=Future(), trace=current())
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
@@ -384,7 +344,7 @@ class MicroBatcher:
                 raise QueueFullError(
                     group_key, self._total_depth, total_limit, worker.retry_after()
                 )
-            if not worker.admit(pending.cost):
+            if not worker.admit():
                 self._release_total()
                 self.telemetry.increment("requests_shed")
                 raise QueueFullError(

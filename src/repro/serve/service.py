@@ -33,7 +33,6 @@ from ..obs import Telemetry
 from . import engine
 from .batcher import DEFAULT_MAX_BATCH_SIZE, MicroBatcher, group_key_of
 from .cache import ExplanationCache, response_cache_key
-from .policy import AdaptiveBatchPolicy, BatchPolicy, StaticBatchPolicy
 from .store import ModelArtifact, ModelArtifactStore
 
 #: Distinguishes "no timeout argument" from an explicit ``timeout=None``.
@@ -46,29 +45,9 @@ class ServeConfig:
 
     #: Most requests one micro-batcher flush takes; 1 = serial per-request
     #: dispatch.  The batcher never waits for companions: a flush takes what
-    #: is already queued, up to this size.  Under
-    #: ``batch_policy="adaptive"`` this is the *initial* flush size the
-    #: policy starts walking from.
+    #: is already queued, up to this size.  Response bytes do not depend on
+    #: it.
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    #: Batching policy: ``"static"`` (a fixed flush size, the reference
-    #: behaviour) or ``"adaptive"`` (flush size fed back from observed queue
-    #: depth and flush latency — see
-    #: :class:`repro.serve.policy.AdaptiveBatchPolicy`).  Either way response
-    #: bytes are identical; the policy only moves the flush size.
-    batch_policy: str = "static"
-    #: Hard lower bound of the adaptive policy's flush size.
-    min_batch_size: int = 1
-    #: Hard upper bound of the adaptive policy's flush size.  24 and 64
-    #: measured alike on the tiny load benchmark (docs/benchmarks.md); the
-    #: smaller cap bounds how long one flush holds the group's worker.
-    max_adaptive_batch_size: int = 24
-    #: Soft ceiling (ms) on the adaptive policy's smoothed per-flush wall
-    #: clock; sustained flushes above it shrink the batch to bound tail
-    #: latency.
-    policy_latency_budget_ms: float = 250.0
-    #: Consecutive same-direction feedback signals the adaptive policy needs
-    #: before stepping a knob (hysteresis against scheduler noise).
-    policy_hysteresis: int = 3
     #: Per-(model, kind) bound on in-flight requests (queued + executing).
     #: Submits over it shed with :class:`repro.serve.batcher.QueueFullError`
     #: (HTTP 429 + ``Retry-After``); ``None`` disables load-shedding.
@@ -114,23 +93,6 @@ class ServeConfig:
     #: latency histograms are always on.  Tracing is strictly out of band:
     #: response bytes and cache keys are identical at any sample rate.
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def make_batch_policy(self, telemetry: Optional[Telemetry] = None) -> BatchPolicy:
-        """The configured :class:`BatchPolicy` instance."""
-        if self.batch_policy == "static":
-            return StaticBatchPolicy(self.max_batch_size)
-        if self.batch_policy == "adaptive":
-            return AdaptiveBatchPolicy(
-                initial_batch_size=self.max_batch_size,
-                min_batch_size=self.min_batch_size,
-                max_batch_size=self.max_adaptive_batch_size,
-                latency_budget_ms=self.policy_latency_budget_ms,
-                hysteresis=self.policy_hysteresis,
-                telemetry=telemetry,
-            )
-        raise ValueError(
-            f"unknown batch_policy {self.batch_policy!r} (choose 'static' or 'adaptive')"
-        )
 
 
 @dataclass
@@ -215,7 +177,7 @@ class ExplanationService:
         self._parity: Dict[str, engine.ParityReport] = {}
         self.batcher = MicroBatcher(
             self._execute_group,
-            policy=self.config.make_batch_policy(telemetry=self.telemetry),
+            max_batch_size=self.config.max_batch_size,
             max_queue_depth=self.config.max_queue_depth,
             max_total_depth=self.config.max_total_depth,
             shed_watermark=self.config.shed_watermark,
@@ -372,13 +334,7 @@ class ExplanationService:
                 cached=True,
             )
         work = _ExplainWork(instance=series, class_id=class_id, k=k, seed=seed, cache_key=key)
-        # dCAM explains cost ~k permutation forwards each; reporting k as the
-        # request cost lets a cost-aware policy size flushes by work, not count.
-        future = self.batcher.submit(
-            group_key_of(model_name, "explain"),
-            work,
-            cost=float(k) if uses_permutations else 1.0,
-        )
+        future = self.batcher.submit(group_key_of(model_name, "explain"), work)
         output: engine.ExplainOutput = future.result()
         return ExplainResponse(
             model=model_name,

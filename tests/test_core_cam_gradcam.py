@@ -1,16 +1,11 @@
-"""Unit tests of CAM / cCAM / grad-CAM (repro.core.cam, repro.core.gradcam)."""
+"""Unit tests of CAM / cCAM (repro.core.cam) and the recorded-graph grad-CAM
+oracle (tests/oracles/gradcam.py)."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    cam_as_multivariate,
-    class_activation_map,
-    grad_cam,
-    mtex_explanation,
-    mtex_grad_cam,
-    predicted_class,
-)
+from oracles.gradcam import grad_cam, mtex_explanation, mtex_grad_cam
+from repro.core import cam_as_multivariate, class_activation_map, predicted_class
 from repro.models import GRUClassifier
 
 

@@ -15,7 +15,7 @@ from repro.core import (
     compute_dcam,
     compute_dcam_batch,
 )
-from repro.core.gradcam import mtex_explanation
+from oracles.gradcam import mtex_explanation
 from repro.eval.protocol import evaluate_explanation, explanation_for
 from repro.explain import (
     CAMExplainer,

@@ -22,7 +22,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.gradcam import mtex_explanation
+from oracles.gradcam import mtex_explanation
 from repro.explain import get_explainer
 from repro.models import CNNClassifier, TrainingConfig
 from repro.serve import (

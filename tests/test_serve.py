@@ -672,6 +672,26 @@ class TestExportModelCLI:
             service.close()
 
 
+class TestServeCLI:
+    def test_serve_cli_defaults_come_from_serve_config(self):
+        import argparse
+
+        from repro.obs import ObsConfig
+        from repro.runtime.cli import _add_serve_arguments
+        from repro.serve.cache import DEFAULT_MEMORY_BYTES
+
+        parser = argparse.ArgumentParser()
+        _add_serve_arguments(parser)
+        args = parser.parse_args(["--store", "unused"])
+        defaults = ServeConfig()
+        assert args.max_batch_size == defaults.max_batch_size
+        assert args.max_queue_depth == defaults.max_queue_depth
+        assert args.drain_timeout_s == defaults.drain_timeout_s
+        assert args.precision == defaults.precision
+        assert args.trace_sample_rate == ObsConfig().trace_sample_rate
+        assert args.cache_memory_mb * 1024 * 1024 == DEFAULT_MEMORY_BYTES
+
+
 # ---------------------------------------------------------------------------
 # HTTP front-end
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Tests of adaptive serving: batch policies, per-group flush workers,
+"""Tests of the micro-batcher under load: per-group flush workers,
 admission control / load-shedding, and graceful shutdown.
 
 The load-bearing guarantees pinned here:
 
-* the adaptive policy walks its flush size with hysteresis and respects
-  the hard clamps, and neither policy ever changes response bytes (adaptive
-  == serial byte parity under real concurrency);
+* coalescing never changes response bytes (a coalescing service == a
+  serial one, byte for byte, under real concurrency);
 * per-(model, kind) flush workers: one group's slow flush cannot stall
   another group's traffic (deterministic, event-controlled);
 * bounded queues: submits over the in-flight watermark fail fast with
@@ -28,23 +27,20 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    AdaptiveBatchPolicy,
     ExplanationCache,
     ExplanationService,
     MicroBatcher,
     ModelArtifactStore,
     QueueFullError,
     ServeConfig,
-    StaticBatchPolicy,
     probe_batch_parity,
     serve_in_background,
 )
-from repro.serve.batcher import group_key_of
 
 
 @pytest.fixture(scope="module")
-def adaptive_store(tmp_path_factory, trained_ccnn, trained_dcnn):
-    store = ModelArtifactStore(str(tmp_path_factory.mktemp("adaptive-store")))
+def batcher_store(tmp_path_factory, trained_ccnn, trained_dcnn):
+    store = ModelArtifactStore(str(tmp_path_factory.mktemp("batcher-store")))
     specs = {"ccnn": {"filters": (8, 16)}, "dcnn": {"filters": (8, 16)}}
     for model_name, model in (("ccnn", trained_ccnn), ("dcnn", trained_dcnn)):
         parity = probe_batch_parity(model)
@@ -57,240 +53,6 @@ def adaptive_store(tmp_path_factory, trained_ccnn, trained_dcnn):
 def make_service(store, **config_kwargs):
     return ExplanationService(store, cache=ExplanationCache(max_memory_bytes=None),
                               config=ServeConfig(**config_kwargs))
-
-
-# ---------------------------------------------------------------------------
-# Batch policies
-# ---------------------------------------------------------------------------
-
-class TestStaticPolicy:
-    def test_constant_decision(self):
-        policy = StaticBatchPolicy(max_batch_size=8)
-        assert policy.decision(("m", "classify")) == 8
-        policy.observe(("m", "classify"), batch_size=8, flush_seconds=10.0,
-                       queue_depth=10_000)
-        assert policy.decision(("m", "classify")) == 8
-        assert StaticBatchPolicy(max_batch_size=0).decision("g") == 1
-
-
-class TestAdaptivePolicy:
-    def make_policy(self, **kwargs):
-        defaults = dict(initial_batch_size=8, min_batch_size=1, max_batch_size=64,
-                        latency_budget_ms=0.0, hysteresis=3, ewma_alpha=1.0)
-        defaults.update(kwargs)
-        return AdaptiveBatchPolicy(**defaults)
-
-    def test_grows_under_sustained_backlog_with_hysteresis(self):
-        policy = self.make_policy()
-        key = ("m", "classify")
-        # Two backlogged observations: not enough (hysteresis = 3).
-        for _ in range(2):
-            policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key) == 8
-        # The third consecutive signal trips the step.
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key) == 16
-
-    def test_interrupted_streak_does_not_step(self):
-        policy = self.make_policy()
-        key = ("m", "classify")
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        # An idle observation breaks the grow streak.
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=0)
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        assert policy.decision(key) == 8
-
-    def test_growth_respects_hard_bound(self):
-        policy = self.make_policy(max_batch_size=16)
-        key = ("m", "explain")
-        for _ in range(30):
-            policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=1000)
-        assert policy.decision(key) == 16
-
-    def test_shrinks_when_idle_and_respects_floor(self):
-        policy = self.make_policy(min_batch_size=2)
-        key = ("m", "classify")
-        for _ in range(40):
-            policy.observe(key, batch_size=1, flush_seconds=0.001, queue_depth=0)
-        assert policy.decision(key) == 2
-
-    def test_latency_budget_shrinks_even_under_backlog(self):
-        policy = self.make_policy(latency_budget_ms=10.0)
-        key = ("m", "explain")
-        # Deep queue but each flush blows the latency budget: the bound on
-        # tail latency must win over goodput greed.
-        for _ in range(6):
-            policy.observe(key, batch_size=8, flush_seconds=0.5, queue_depth=1000)
-        assert policy.decision(key) < 8
-
-    def test_queue_time_over_budget_grows_despite_shallow_queue(self):
-        # Flushes are fast but requests sit in the queue far past the budget:
-        # the *end-to-end* latency signal must drive the batch size up so the
-        # backlog drains, even though the instantaneous queue looks shallow.
-        policy = self.make_policy(latency_budget_ms=10.0)
-        key = ("m", "explain")
-        for _ in range(3):
-            policy.observe(key, batch_size=2, flush_seconds=0.002, queue_depth=2,
-                           queue_seconds=0.050)
-        assert policy.decision(key) == 16
-
-    def test_shallow_queue_without_queue_time_does_not_grow(self):
-        # Control for the test above: the same observations minus the
-        # queueing time are an idle signal, not a grow signal.
-        policy = self.make_policy(latency_budget_ms=10.0)
-        key = ("m", "explain")
-        for _ in range(3):
-            policy.observe(key, batch_size=2, flush_seconds=0.002, queue_depth=2)
-        assert policy.decision(key) <= 8
-
-    def test_flush_over_budget_still_shrinks_despite_queue_pressure(self):
-        # When the flush itself blows the budget, growing would make latency
-        # worse — the shrink signal wins over any queueing pressure.
-        policy = self.make_policy(latency_budget_ms=10.0)
-        key = ("m", "explain")
-        for _ in range(6):
-            policy.observe(key, batch_size=8, flush_seconds=0.5, queue_depth=1000,
-                           queue_seconds=1.0)
-        assert policy.decision(key) < 8
-
-    def test_groups_are_independent(self):
-        policy = self.make_policy()
-        hot, cold = ("m", "classify"), ("m", "explain")
-        for _ in range(6):
-            policy.observe(hot, batch_size=8, flush_seconds=0.001, queue_depth=500)
-        assert policy.decision(hot) > 8
-        assert policy.decision(cold) == 8
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError, match="min_batch_size"):
-            AdaptiveBatchPolicy(min_batch_size=0)
-        with pytest.raises(ValueError, match="max_batch_size"):
-            AdaptiveBatchPolicy(min_batch_size=8, max_batch_size=4)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            AdaptiveBatchPolicy(ewma_alpha=0.0)
-
-    def test_policy_publishes_telemetry(self):
-        policy = self.make_policy()
-        key = ("m", "classify")
-        for _ in range(3):
-            policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=50)
-        snapshot = policy.telemetry.snapshot()
-        assert snapshot["policy_grow_steps"] >= 1
-        assert snapshot["policy_batch_size[m/classify]"] == 16
-
-
-class TestCostAwarePolicy:
-    """Queue pressure weighted by per-request cost (a dCAM explain's ``k``)."""
-
-    def make_policy(self, **kwargs):
-        defaults = dict(initial_batch_size=8, min_batch_size=1, max_batch_size=64,
-                        latency_budget_ms=0.0, hysteresis=1, ewma_alpha=1.0)
-        defaults.update(kwargs)
-        return AdaptiveBatchPolicy(**defaults)
-
-    def test_uniform_cost_reproduces_count_based_decisions(self):
-        """cost == 1.0 everywhere must be indistinguishable from no cost info."""
-        count_based = self.make_policy(hysteresis=2)
-        cost_aware = self.make_policy(hysteresis=2)
-        key = ("m", "explain")
-        depths = [50, 50, 50, 0, 0, 0, 2, 7, 50, 0, 50, 50]
-        for depth in depths:
-            count_based.observe(key, batch_size=4, flush_seconds=0.001,
-                                queue_depth=depth)
-            cost_aware.observe(key, batch_size=4, flush_seconds=0.001,
-                               queue_depth=depth, batch_cost=4.0,
-                               queue_cost=float(depth))
-            assert cost_aware.decision(key) == count_based.decision(key)
-
-    def test_heavy_backlog_grows_despite_shallow_queue(self):
-        """Four queued k=100 explains press as hard as 400 cheap ones."""
-        policy = self.make_policy()
-        key = ("m", "explain")
-        # Count-based view: depth 4 at width 8 is neither backlogged nor idle.
-        # With cost reporting, a smoothed per-request cost of 1.0 against a
-        # queued cost of 400 yields an effective depth of 400 -> grow.
-        policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=4,
-                       batch_cost=8.0, queue_cost=400.0)
-        assert policy.decision(key) == 16
-
-    def test_heavy_history_discounts_shallow_cheap_queue(self):
-        """After heavy flushes, a few cheap stragglers read as idle, not load."""
-        policy = self.make_policy(hysteresis=3)
-        key = ("m", "explain")
-        # Heavy steady state: per-request cost 100, queue holding 6 heavies
-        # (effective depth 6 at width 8 -> neither signal).
-        for _ in range(3):
-            policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=6,
-                           batch_cost=800.0, queue_cost=600.0)
-        assert policy.decision(key) == 8
-        # Six cheap requests now queue: effective depth 6/100 -> idle, shrink.
-        for _ in range(3):
-            policy.observe(key, batch_size=8, flush_seconds=0.001, queue_depth=6,
-                           batch_cost=800.0, queue_cost=6.0)
-        assert policy.decision(key) == 4
-
-    def test_batcher_reports_costs_to_policy(self):
-        """submit(cost=...) flows through to observe as batch/queue cost."""
-        observed = []
-
-        class RecordingPolicy(StaticBatchPolicy):
-            def observe(self, group_key, batch_size, flush_seconds, queue_depth,
-                        batch_cost=None, queue_cost=None, queue_seconds=None):
-                observed.append((batch_size, batch_cost, queue_cost))
-
-        with MicroBatcher(lambda key, requests: requests,
-                          policy=RecordingPolicy(max_batch_size=4)
-                          ) as batcher:
-            key = group_key_of("m", "explain")
-            batcher.submit(key, "a", cost=100.0).result(timeout=5)
-        assert observed
-        total_batch = sum(entry[1] for entry in observed)
-        assert total_batch == pytest.approx(100.0)
-        for _, batch_cost, queue_cost in observed:
-            assert batch_cost > 0
-            assert queue_cost >= 0.0
-
-    def test_non_positive_cost_rejected(self):
-        with MicroBatcher(lambda key, requests: requests) as batcher:
-            with pytest.raises(ValueError, match="cost"):
-                batcher.submit("g", 1, cost=0.0)
-            with pytest.raises(ValueError, match="cost"):
-                batcher.submit("g", 1, cost=-3.0)
-
-
-class TestServeConfigPolicy:
-    def test_make_batch_policy_dispatch(self):
-        assert isinstance(ServeConfig().make_batch_policy(), StaticBatchPolicy)
-        adaptive = ServeConfig(batch_policy="adaptive").make_batch_policy()
-        assert isinstance(adaptive, AdaptiveBatchPolicy)
-        with pytest.raises(ValueError, match="batch_policy"):
-            ServeConfig(batch_policy="nope").make_batch_policy()
-
-    def test_adaptive_inherits_bounds(self):
-        config = ServeConfig(batch_policy="adaptive", max_batch_size=4,
-                             max_adaptive_batch_size=32, policy_hysteresis=5)
-        policy = config.make_batch_policy()
-        assert policy.initial_batch_size == 4
-        assert policy.max_batch_size == 32
-        assert policy.hysteresis == 5
-
-    def test_serve_cli_defaults_come_from_serve_config(self):
-        import argparse
-
-        from repro.runtime.cli import _add_serve_arguments
-
-        parser = argparse.ArgumentParser()
-        _add_serve_arguments(parser)
-        args = parser.parse_args(["--store", "unused"])
-        defaults = ServeConfig()
-        assert args.max_batch_size == defaults.max_batch_size
-        assert args.max_adaptive_batch_size == defaults.max_adaptive_batch_size
-        assert args.latency_budget_ms == defaults.policy_latency_budget_ms
-        assert args.max_queue_depth == defaults.max_queue_depth
-        assert args.drain_timeout_s == defaults.drain_timeout_s
-        assert args.policy == defaults.batch_policy
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +96,6 @@ class TestPerGroupWorkers:
             assert len(threads) == 1
         assert seen_threads[("m", "classify")] != seen_threads[("m", "explain")]
 
-    def test_adaptive_policy_drives_batcher_flush_size(self):
-        """Sustained backlog must grow observed flush widths."""
-        flush_widths = []
-        gate = threading.Event()
-
-        def execute(group_key, requests):
-            flush_widths.append(len(requests))
-            gate.wait(timeout=10)
-            return requests
-
-        policy = AdaptiveBatchPolicy(initial_batch_size=2, max_batch_size=16,
-                                     hysteresis=1,
-                                     ewma_alpha=1.0, latency_budget_ms=0.0)
-        with MicroBatcher(execute, policy=policy) as batcher:
-            key = group_key_of("m", "classify")
-            futures = [batcher.submit(key, index) for index in range(40)]
-            gate.set()
-            for future in futures:
-                future.result(timeout=10)
-        assert max(flush_widths) > 2  # grew beyond the initial width
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +149,6 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="max_queue_depth"):
             MicroBatcher(lambda key, requests: requests, max_queue_depth=0)
 
-    def test_batcher_reports_queue_seconds_to_policy(self):
-        """The policy sees the batcher-visible wait of each flushed batch."""
-        observed = []
-
-        class RecordingPolicy(StaticBatchPolicy):
-            def observe(self, group_key, batch_size, flush_seconds, queue_depth,
-                        batch_cost=None, queue_cost=None, queue_seconds=None):
-                observed.append(queue_seconds)
-
-        with MicroBatcher(lambda key, requests: requests,
-                          policy=RecordingPolicy(max_batch_size=4)
-                          ) as batcher:
-            batcher.submit("g", 1).result(timeout=5)
-        assert observed
-        for queue_seconds in observed:
-            assert isinstance(queue_seconds, float)
-            assert queue_seconds >= 0.0
-
-
 class TestPriorityShedding:
     """Under *global* pressure cheap traffic outlives expensive traffic.
 
@@ -477,17 +200,17 @@ class TestPriorityShedding:
             MicroBatcher(lambda key, requests: requests, max_total_depth=4,
                          shed_watermark=0.0)
 
-    def test_service_submits_classify_above_explain_priority(self, adaptive_store):
+    def test_service_submits_classify_above_explain_priority(self, batcher_store):
         # The service-level half of the guarantee: /classify rides the
         # high-priority lane, /explain the default one.  (The batcher-level
         # test above pins what those lanes mean under pressure.)
-        service = make_service(adaptive_store, max_total_depth=64)
+        service = make_service(batcher_store, max_total_depth=64)
         submitted = []
         real_submit = service.batcher.submit
 
-        def recording_submit(group_key, request, cost=1.0, priority=0):
+        def recording_submit(group_key, request, priority=0):
             submitted.append((group_key[1], priority))
-            return real_submit(group_key, request, cost=cost, priority=priority)
+            return real_submit(group_key, request, priority=priority)
 
         service.batcher.submit = recording_submit
         try:
@@ -602,10 +325,10 @@ class TestShutdownDrain:
 
 
 # ---------------------------------------------------------------------------
-# Service-level: adaptive parity, shedding, HTTP backpressure
+# Service-level: coalescing parity, metrics, HTTP backpressure
 # ---------------------------------------------------------------------------
 
-class TestAdaptiveServiceParity:
+class TestCoalescingServiceParity:
     def _mixed_load(self, service, dataset, n_requests=24):
         def one(index):
             series = dataset.X[index % len(dataset.X)]
@@ -618,16 +341,14 @@ class TestAdaptiveServiceParity:
         with ThreadPoolExecutor(max_workers=8) as pool:
             return list(pool.map(one, range(n_requests)))
 
-    def test_adaptive_equals_serial_bytes(self, adaptive_store, tiny_type1_dataset):
-        adaptive = make_service(adaptive_store, batch_policy="adaptive",
-                                max_batch_size=4,
-                                policy_hysteresis=1)
-        serial = make_service(adaptive_store, max_batch_size=1)
+    def test_coalescing_equals_serial_bytes(self, batcher_store, tiny_type1_dataset):
+        coalescing = make_service(batcher_store, max_batch_size=4)
+        serial = make_service(batcher_store, max_batch_size=1)
         try:
-            left = self._mixed_load(adaptive, tiny_type1_dataset)
+            left = self._mixed_load(coalescing, tiny_type1_dataset)
             right = self._mixed_load(serial, tiny_type1_dataset)
         finally:
-            adaptive.close()
+            coalescing.close()
             serial.close()
         for a, b in zip(left, right):
             assert a[0] == b[0]
@@ -635,9 +356,8 @@ class TestAdaptiveServiceParity:
             if len(a) > 2:
                 assert a[2] == b[2]
 
-    def test_metrics_expose_adaptive_state(self, adaptive_store, tiny_type1_dataset):
-        service = make_service(adaptive_store, batch_policy="adaptive",
-                               max_batch_size=2)
+    def test_metrics_expose_batcher_state(self, batcher_store, tiny_type1_dataset):
+        service = make_service(batcher_store, max_batch_size=2)
         try:
             for _ in range(3):
                 service.classify("ccnn-a", tiny_type1_dataset.X[0])
@@ -645,16 +365,15 @@ class TestAdaptiveServiceParity:
         finally:
             service.close()
         assert "queue_depth[ccnn-a/classify]" in snapshot
-        assert "policy_batch_size[ccnn-a/classify]" in snapshot
         assert "flush_classify_seconds" in snapshot
         assert snapshot["requests_classify"] == 3
 
 
 class TestHTTPBackpressure:
     @pytest.fixture()
-    def gated_server(self, adaptive_store):
+    def gated_server(self, batcher_store):
         """A live server whose explain flushes block until released."""
-        service = make_service(adaptive_store, max_batch_size=1, 
+        service = make_service(batcher_store, max_batch_size=1, 
                                max_queue_depth=2)
         release = threading.Event()
         inner_execute = service.batcher._execute
