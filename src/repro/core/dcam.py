@@ -62,18 +62,24 @@ width run on a process-wide thread pool while BLAS is pinned to one thread
 (:func:`repro.nn.blas.blas_threads`).  Otherwise, or when the BLAS thread
 count cannot be set (unpinned, the split is no faster), the rows run
 serially on the caller's thread.  Either way the forward partition is the
-serial one, so results are bitwise equal at every thread count; the merge
-and everything after it stay serial.
+serial one, so results are bitwise equal at every thread count.  Under the
+same rule, with the instance's ``k`` rows, the ``M̄`` merge shares out too:
+each thread adds every permutation, in order, into a contiguous block of
+``M̄``'s first axis (:func:`_merge_cam_stack`), so its bits are the serial
+ones.  The extract and everything after it stay serial.
 
 Each slice owns one :class:`~repro.nn.workspace.SliceScratch`: the row
 kernel folds every BatchNorm (layer 1's rotated bank included) once per
 slice, and takes every block's cols and output from the scratch, which
 holds all of one micro-batch's layer buffers at once and is released after
-each micro-batch.  The peak in-flight working set is therefore threads ×
-the sum of those buffers, not of the widest im2col alone: 13.9 MiB per
-thread at D=40, n=100, filters 16,32,32, width 2, of which the widest
-im2col, the one the budget bounds, is 5.9 MiB.  The scratch goes when its
-slice returns; nothing stays with the thread.
+each micro-batch.  The dCNN's trunk runs as one chain of row blocks, each
+GEMM landing in the next block's cols
+(:func:`repro.nn.functional.cube_row_chain`).  The peak in-flight working
+set is therefore threads × the sum of those buffers, not of the largest
+hand-off alone: 6.0 MiB per thread at D=40, n=100, filters 16,32,32,
+width 1, of which the hand-off from block 2 to block 3, the one the budget
+bounds, is 4.4 MiB.  The scratch goes when its slice returns; nothing stays
+with the thread.
 
 No ``C(T)`` cube is built for the dCNN.  Cube row ``r`` is the permuted series
 rotated by ``r`` dimensions, so layer 1 rotates its weights instead of the
@@ -115,13 +121,14 @@ __all__ = [
 ]
 
 #: Default cap on the permuted series per forward pass.  The width run fits
-#: :data:`_FORWARD_BYTES` (:func:`_forward_width`) — 2 at D=40, n=100, 32
-#: filters, ℓ=3 — so the cap binds at small scales, where it keeps the GEMMs
-#: large enough to amortise Python dispatch.
+#: :data:`_FORWARD_BYTES` (:func:`_forward_width`) — 1 at D=40, n=100,
+#: filters 16,32,32, ℓ=3 — so the cap binds at small scales, where it keeps
+#: the GEMMs large enough to amortise Python dispatch.
 DEFAULT_BATCH_SIZE = 32
 
-#: Working-set budget of a forward micro-batch's widest im2col, about four
-#: times a 2 MiB per-core L2; wider spills to memory (width sweeps in
+#: Working-set budget of what a forward micro-batch holds at once, the two
+#: cols of its largest hand-off between consecutive convs, about four times
+#: a 2 MiB per-core L2; wider spills to memory (width sweeps in
 #: docs/benchmarks.md).
 _FORWARD_BYTES = 8 * 1024 * 1024
 
@@ -246,18 +253,32 @@ def _require_class(model, class_id: int) -> None:
 def _forward_width(model, n_dimensions: int, length: int, batch_size: int) -> int:
     """Permuted series per forward pass, from 1 up to ``batch_size``.
 
-    As many as fit :data:`_FORWARD_BYTES` with their widest im2col: ``C·ℓ``
-    rows over the cube's ``D·n`` columns, or ``D·ℓ`` rows over ``n`` for a
-    dCNN's cube-free layer 1.
+    As many as fit :data:`_FORWARD_BYTES` with what a micro-batch holds at
+    once: the two cols of a hand-off between consecutive convs
+    (:func:`repro.nn.functional._row_chain`), each ``C·ℓ`` rows over the
+    cube's ``D·n`` columns, or over ``n`` for a dCNN's cube-free layer 1.
+    One conv alone holds its own cols.
     """
     with inference_mode():
         block = model.series_block()
     first = None if block is None else block[0]
-    widest = max((module.in_channels * module.kernel_size[-1]
-                  * (length if module is first else n_dimensions * length)
-                  for module in model.modules() if isinstance(module, Conv2d)), default=1)
-    per_item = np.dtype(model.compute_dtype).itemsize * widest
+    cols = [module.in_channels * module.kernel_size[-1]
+            * (length if module is first else n_dimensions * length)
+            for module in model.modules() if isinstance(module, Conv2d)]
+    held = max((a + b for a, b in zip(cols, cols[1:])), default=max(cols, default=1))
+    per_item = np.dtype(model.compute_dtype).itemsize * held
     return min(max(1, int(batch_size)), max(1, _FORWARD_BYTES // per_item))
+
+
+def _fans_out(rows: int, width: int) -> bool:
+    """Whether ``rows`` rows at forward ``width`` share the forward pool.
+
+    Only when every one of :data:`_FORWARD_THREADS` threads gets at least one
+    full-width forward and BLAS can be pinned to one thread (module
+    docstring); tiny calls never create the pool.
+    """
+    threads = _FORWARD_THREADS
+    return threads >= 2 and rows >= threads * width and can_set_threads()
 
 
 def _stack_orders(permutations: Sequence[np.ndarray], n_dimensions: int) -> np.ndarray:
@@ -362,10 +383,10 @@ def _permutation_cams_batched(model: "ConvBackboneClassifier", permuted: np.ndar
         reads_series = model.series_block() is not None
     forward = functools.partial(_forward_rows, model, permuted, class_weights, cams, predicted,
                                 width=width, reads_series=reads_series)
-    threads = _FORWARD_THREADS
-    if threads < 2 or n_total < threads * width or not can_set_threads():
+    if not _fans_out(n_total, width):
         forward(start=0, stop=n_total)
         return cams, predicted
+    threads = _FORWARD_THREADS
     chunks = -(-n_total // width)
     bounds = [min(n_total, width * (chunks * index // threads)) for index in range(threads + 1)]
     with blas_threads(1):
@@ -395,18 +416,43 @@ def permutation_rows(orders: np.ndarray) -> np.ndarray:
     return (slots[:, :, None] - positions[None, None, :]) % n_dimensions  # (k, D, D)
 
 
-def _merge_cam_stack(cams: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _merge_cam_stack(cams: np.ndarray, orders: np.ndarray,
+                     width: Optional[int] = None) -> np.ndarray:
     """Average the ``M`` transformations of stacked permutation CAMs.
 
     ``cams`` has shape ``(k, D, n)`` and ``orders`` shape ``(k, D)``.  Each
     permutation's ``(D, D, n)`` ``M`` transform is added in turn: the order of
     ``.sum(axis=0)`` over the full ``(k, D, D, n)`` gather, never built.
+    When ``k`` rows at forward ``width`` fan out (:func:`_fans_out`), each
+    forward-pool thread merges a contiguous block of ``M̄``'s first axis,
+    still adding the permutations in order, so the bits are the serial ones.
     """
     rows = permutation_rows(orders)  # (k, D, D)
-    total = cams[0][rows[0]]
-    for permutation in range(1, len(cams)):
-        total += cams[permutation][rows[permutation]]
-    return total / len(cams)
+    k, n_dimensions = orders.shape
+    total = np.empty((n_dimensions,) + cams.shape[1:], dtype=cams.dtype)
+
+    def merge(start: int, stop: int) -> None:
+        # mode="clip" lets take() write into ``out`` unbuffered; every index is in range.
+        block = total[start:stop]
+        gathered = np.empty_like(block)
+        np.take(cams[0], rows[0, start:stop], axis=0, out=block, mode="clip")
+        for permutation in range(1, k):
+            np.take(cams[permutation], rows[permutation, start:stop], axis=0,
+                    out=gathered, mode="clip")
+            block += gathered
+        block /= k
+
+    if width is None or n_dimensions < 2 or not _fans_out(k, width):
+        merge(0, n_dimensions)
+        return total
+    threads = _FORWARD_THREADS
+    bounds = [n_dimensions * index // threads for index in range(threads + 1)]
+    pieces = [_forward_pool().submit(merge, start, stop)
+              for start, stop in zip(bounds, bounds[1:]) if start < stop]
+    futures.wait(pieces)
+    for piece in pieces:
+        piece.result()
+    return total
 
 
 def merge_permutation_cams(cams_and_orders: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -465,14 +511,19 @@ def extract_dcam(m_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble_result(cams: np.ndarray, orders: np.ndarray, predicted: np.ndarray,
-                     class_id: int, use_only_correct: bool) -> DCAMResult:
-    """Merge the CAMs of one instance's permutations into a :class:`DCAMResult`."""
+                     class_id: int, use_only_correct: bool,
+                     width: Optional[int] = None) -> DCAMResult:
+    """Merge the CAMs of one instance's permutations into a :class:`DCAMResult`.
+
+    ``width`` is the forward width, which decides whether the merge fans out
+    (:func:`_merge_cam_stack`).
+    """
     correct_mask = predicted == class_id
     n_correct = int(correct_mask.sum())
     if use_only_correct and 0 < n_correct:
-        m_bar = _merge_cam_stack(cams[correct_mask], orders[correct_mask])
+        m_bar = _merge_cam_stack(cams[correct_mask], orders[correct_mask], width)
     else:
-        m_bar = _merge_cam_stack(cams, orders)
+        m_bar = _merge_cam_stack(cams, orders, width)
     dcam, averaged_cam = extract_dcam(m_bar)
     return DCAMResult(
         dcam=dcam,
@@ -567,6 +618,7 @@ def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequenc
     if model.training:  # eval() walks every module: keep it off the warm path
         model.eval()
     n_instances, n_dimensions, length = X.shape
+    width = _forward_width(model, n_dimensions, length, batch_size)
     counts = [len(stack) for stack in orders]
     group = _materialize_group(max(counts, default=0), n_dimensions, length)
     for first in range(0, n_instances, group):
@@ -612,7 +664,7 @@ def iter_dcam(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequenc
                         table, (orders_flat[new], predicted[new], cams[new])))))
         for index, start, stop in zip(range(first, last), bounds, bounds[1:]):
             yield _assemble_result(cams[start:stop], orders[index], predicted[start:stop],
-                                   class_ids[index], use_only_correct)
+                                   class_ids[index], use_only_correct, width)
 
 
 def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,
@@ -641,8 +693,8 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         ``M̄`` (falling back to all permutations when none is correct).
     batch_size:
         Cap on the permuted series per forward pass.  The width run is the
-        widest, up to the cap, whose largest im2col fits an 8 MiB budget
-        (:func:`_forward_width`), so peak memory is bounded by the budget,
+        widest, up to the cap, whose largest hand-off between convs fits an
+        8 MiB budget (:func:`_forward_width`), so peak memory is bounded by the budget,
         not the cap.  Results are bitwise equal across values (each row's
         forward does not depend on the width); they agree with the
         graph-recording reference to float round-off (≤ 1e-10).

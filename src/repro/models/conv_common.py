@@ -39,7 +39,7 @@ from ..nn import (
     is_grad_enabled,
     row_conv_block,
 )
-from ..nn.functional import cube_conv_bn_relu
+from ..nn.functional import cube_row_chain
 from .base import BaseClassifier
 
 
@@ -69,9 +69,9 @@ class ConvBackboneClassifier(BaseClassifier):
 
         When :meth:`series_block` finds one, a d-architecture also takes the
         (dimension-permuted) series ``(batch, D, n)`` in place of its cube:
-        layer 1 then reads the series through
-        :func:`~repro.nn.functional.cube_conv_bn_relu` and ``C(T)`` is never
-        built.  dCAM's forward pass uses this.
+        layer 1 and the row blocks after it then run as one
+        :func:`~repro.nn.functional.cube_row_chain` over the series and
+        ``C(T)`` is never built.  dCAM's forward pass uses this.
         """
         if x.ndim == 3 and self.input_kind == "cube":
             first = self.series_block()
@@ -80,9 +80,15 @@ class ConvBackboneClassifier(BaseClassifier):
                     f"{type(self).__name__}.features needs the C(T) cube here: only an "
                     f"eval-mode trunk whose first block is a (1, ℓ) Conv2d -> BatchNorm "
                     f"-> ReLU reads the series, under inference_mode")
-            out = Tensor(cube_conv_bn_relu(x.data, *first), name="cube_conv_bn_relu")
-            for block in self.feature_extractor.children_list[1:]:
-                out = block(out)
+            blocks, rest = [first], self.feature_extractor.children_list[1:]
+            for module in rest:
+                block = row_conv_block(module)
+                if block is None or block[1].training:
+                    break
+                blocks.append(block)
+            out = Tensor(cube_row_chain(x.data, blocks), name="cube_row_chain")
+            for module in rest[len(blocks) - 1:]:
+                out = module(out)
             return out
         return self.feature_extractor(x)
 

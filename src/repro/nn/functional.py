@@ -8,14 +8,18 @@ inference: ``W.reshape(O, -1) @ cols`` lands contiguous NCHW, so the
 BatchNorm, ReLU and residual nodes that follow a training conv (and their
 gradients) run on contiguous memory.
 
-At inference every ``(1, ℓ)`` row block runs one stacked-GEMM kernel landing
-contiguous NCHW (:func:`fused_conv_bn_relu`), whose cols are ℓ shifted copies
-of the unpadded input (:func:`_row_cols`); other convs run the training
-conv's forward (:func:`_conv2d_forward`) without its backward closure.
+At inference consecutive ``(1, ℓ)`` row blocks run as one chain of
+stacked GEMMs (:func:`_row_chain`): the first block's cols are ℓ shifted
+copies of the unpadded input (:func:`_row_cols`), each later "same"-padded
+block's cols are written by the GEMM before it, and the last block lands
+contiguous NCHW.  :func:`fused_conv_bn_relu` and :func:`cube_conv_bn_relu`
+are chains of one.  Other convs run the training conv's forward
+(:func:`_conv2d_forward`) without its backward closure.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -297,17 +301,18 @@ def _fold_row_block(conv, bn, rotate: bool) -> Tuple[np.ndarray, np.ndarray]:
     return weight.reshape(-1, channels * conv.kernel_size[1]), shift.reshape(1, -1, 1, 1)
 
 
-def _row_cols(x: np.ndarray, kw: int, pw: int, workspace) -> Tuple[np.ndarray, int]:
+def _row_cols(x: np.ndarray, kw: int, pw: int, scratch) -> Tuple[np.ndarray, int]:
     """The :func:`_im2col` of a ``(1, ℓ)`` stride-1 kernel, as ℓ shifted copies.
 
     Tap ``j`` of ``cols`` (layout ``(B, C, ℓ, H, out_w)``) is ``x`` shifted by
     ``j - pw`` columns: one slice copy of the unpadded input, with only the
-    pad border zeroed.  Returns ``cols`` and ``out_w``.
+    pad border zeroed.  The buffer comes from ``scratch`` when one is given.
+    Returns ``cols`` and ``out_w``.
     """
     batch, channels, height, width = x.shape
     out_w = width + 2 * pw - kw + 1
     shape = (batch, channels * kw, height * out_w)
-    cols = np.empty(shape, x.dtype) if workspace is None else workspace.acquire(shape, x.dtype)
+    cols = np.empty(shape, x.dtype) if scratch is None else scratch.acquire(shape, x.dtype)
     taps = cols.reshape(batch, channels, kw, height, out_w)
     for j in range(kw):
         tap = taps[:, :, j]
@@ -323,61 +328,134 @@ def _row_cols(x: np.ndarray, kw: int, pw: int, workspace) -> Tuple[np.ndarray, i
     return cols, out_w
 
 
-def _row_conv_bn_relu(x: np.ndarray, conv, bn, padding: Optional[Tuple[int, int]],
-                      rotate: bool) -> np.ndarray:
-    """The one inference kernel of every row block ``Conv2d -> BatchNorm -> ReLU``.
+def _spread_centre(cols: np.ndarray, channels: int, kw: int, height: int) -> None:
+    """Write the other taps of a "same" row block's cols from its centre tap.
 
-    Folds the BatchNorm into a kernel bank and a shift
-    (:func:`_fold_row_block`), writes the ``(B, C·ℓ, H·W)`` row-layout cols
-    as shifted copies of the input (:func:`_row_cols`), and runs one stacked
-    ``matmul`` that lands contiguous NCHW.  Every batch item's product has
-    the same shape, so its bits do not depend on the batch width.  With
-    ``rotate``, ``x`` is a ``(B, D, n)`` series and the bank is rotated over
-    the ``C(T)`` cube's rows (:func:`cube_conv_bn_relu`).
-
-    Inside a dCAM forward slice (an active
-    :class:`~repro.nn.workspace.SliceScratch`) the fold is built once per
-    slice and the cols and output are the slice's scratch buffers, valid
-    until it releases them; elsewhere both are fresh every call.  The bits
-    are the same either way.
+    Tap ``j`` is the centre shifted by ``j - ℓ // 2`` columns: one copy of
+    each whole ``H·W`` plane, whose values carried across a row border are
+    then zeroed.  Bitwise :func:`_row_cols` of the centre.
     """
+    batch = cols.shape[0]
+    rows = cols.reshape(batch, channels, kw, height, -1)
+    width = rows.shape[-1]
+    planes = cols.reshape(batch, channels, kw, height * width)
+    centre = planes[:, :, kw // 2]
+    for j in range(kw):
+        shift = j - kw // 2
+        if shift == 0:
+            continue
+        if abs(shift) >= width:
+            planes[:, :, j] = 0
+            continue
+        # The copy is a ufunc (an identity on floats): its overlap check
+        # proves the interleaved taps apart, where an assignment's check of
+        # the bounds alone would copy the centre to a temporary first.
+        if shift > 0:
+            np.positive(centre[..., shift:], out=planes[:, :, j, :-shift])
+            rows[:, :, j, :, -shift:] = 0
+        else:
+            np.positive(centre[..., :shift], out=planes[:, :, j, -shift:])
+            rows[:, :, j, :, :-shift] = 0
+
+
+def _row_geometry(conv, padding: Optional[Tuple[int, int]], channels: int) -> Tuple[int, int]:
+    """``(ℓ, pw)`` of a row block over ``channels`` inputs; ``ValueError`` for other blocks."""
     kh, kw = conv.kernel_size
     ph, pw = conv.padding if padding is None else padding
     if kh != 1 or ph != 0 or tuple(conv.stride) != (1, 1):
         raise ValueError("a fused conv block needs a (1, ℓ) stride-1 kernel "
                          "with no height padding")
-    channels = x.shape[1]
     if channels != conv.in_channels:
         raise ValueError(f"input has {channels} channels but the conv expects "
                          f"{conv.in_channels}")
+    return kw, pw
+
+
+def _row_chain(x: np.ndarray, blocks, rotate: bool) -> np.ndarray:
+    """The one inference kernel of consecutive row blocks ``Conv2d -> BatchNorm -> ReLU``.
+
+    ``blocks`` lists ``(conv, bn, padding)``; ``padding`` ``None`` keeps the
+    conv's.  Each block folds its BatchNorm into a kernel bank and a shift
+    (:func:`_fold_row_block`) and runs one stacked ``matmul`` over
+    ``(B, C·ℓ, H·W)`` row-layout cols, then adds the shift and applies the
+    ReLU in place.  Every batch item's product has the same shape, so its
+    bits do not depend on the batch width.
+
+    The first block's cols are shifted copies of ``x`` (:func:`_row_cols`).
+    A block followed by a "same"-padded one (``ℓ = 2·pw + 1``) hands off:
+    its ``matmul`` writes the next block's centre tap in place, the shift
+    and ReLU run there, and the other taps are copies of it
+    (:func:`_spread_centre`).  A rotated layer 1's ``(o, r)`` rows are not
+    one GEMM's output in that layout; they land in a buffer, take the
+    shift, and one ``np.maximum`` writes the ReLU into the centre tap.
+    Before any other block the output lands in a buffer and the next cols
+    are shifted copies of it.  Each element sees the same GEMM, add and
+    maximum as the blocks run one at a time, so the chain is bitwise that.
+    The last block's output is contiguous NCHW.  With ``rotate``, ``x`` is a
+    ``(B, D, n)`` series and layer 1's bank is rotated over the ``C(T)``
+    cube's rows (:func:`cube_conv_bn_relu`).
+
+    The thread's :func:`~repro.nn.workspace.active_slice_scratch`, if any,
+    memoises the folds and hands out the buffers (a
+    :class:`~repro.nn.workspace.SliceScratch` pools them, valid until it
+    releases them); elsewhere both are fresh every call.  The bits are the
+    same either way.
+    """
     scratch = active_slice_scratch()
-    if scratch is None:
-        bank, shift = _fold_row_block(conv, bn, rotate)
-    else:
-        bank, shift = scratch.fold(conv, bn, rotate, lambda: _fold_row_block(conv, bn, rotate))
+    acquire = np.empty if scratch is None else scratch.acquire
     if rotate:
         x = x[:, :, None, :]
-    cols, out_w = _row_cols(x, kw, pw, scratch)
-    shape = (x.shape[0], bank.shape[0], cols.shape[2])
-    out = np.matmul(bank, cols, out=None if scratch is None
-                    else scratch.acquire(shape, np.result_type(bank, cols)))
-    out = out.reshape(x.shape[0], conv.out_channels, channels if rotate else x.shape[2], out_w)
-    out += shift
-    np.maximum(out, 0.0, out=out)
-    return out
+    batch = x.shape[0]
+    height = x.shape[1] if rotate else x.shape[2]
+    kw, pw = _row_geometry(blocks[0][0], blocks[0][2], x.shape[1])
+    cols, width = _row_cols(x, kw, pw, scratch)
+    for index, (conv, bn, _) in enumerate(blocks):
+        rotated = rotate and index == 0
+        build = functools.partial(_fold_row_block, conv, bn, rotated)
+        bank, shift = build() if scratch is None else scratch.fold(conv, bn, rotated, build)
+        dtype = np.result_type(bank, cols)
+        channels = conv.out_channels
+        plane = (batch, channels, height, width)
+        last = index + 1 == len(blocks)
+        if not last:
+            kw, pw = _row_geometry(blocks[index + 1][0], blocks[index + 1][2], channels)
+        if last or kw != 2 * pw + 1:
+            out = np.matmul(bank, cols, out=acquire((batch, len(bank), cols.shape[2]), dtype))
+            out = out.reshape(plane)
+            out += shift
+            np.maximum(out, 0.0, out=out)
+            if last:
+                return out
+            cols, width = _row_cols(out, kw, pw, scratch)
+            continue
+        handed = acquire((batch, channels * kw, height * width), dtype)
+        centre = handed.reshape(batch, channels, kw, height * width)[:, :, pw]
+        if rotated:
+            out = np.matmul(bank, cols, out=acquire((batch, len(bank), cols.shape[2]), dtype))
+            out = out.reshape(plane)
+            out += shift
+            np.maximum(out, 0.0, out=centre.reshape(plane))
+        else:
+            np.matmul(bank, cols, out=centre)
+            centre = centre.reshape(plane)
+            centre += shift
+            np.maximum(centre, 0.0, out=centre)
+        _spread_centre(handed, channels, kw, height)
+        cols = handed
 
 
 def fused_conv_bn_relu(x_data: np.ndarray, conv, bn,
                        padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Inference-only fusion of a :func:`~repro.nn.row_conv_block`.
 
-    The row kernel with the plain bank ``W.reshape(O, C·ℓ)``: agrees with the
-    unfused layers up to a few ulps of reassociation, and raises
-    ``ValueError`` for any other conv shape.  ``padding`` overrides the
-    conv's zero padding: the streaming engine (:mod:`repro.stream`) hands
-    it pre-assembled slabs of dirty columns with ``padding=(0, 0)``.
+    The row kernel (:func:`_row_chain`) as a chain of one, with the plain
+    bank ``W.reshape(O, C·ℓ)``: agrees with the unfused layers up to a few
+    ulps of reassociation, and raises ``ValueError`` for any other conv
+    shape.  ``padding`` overrides the conv's zero padding: the streaming
+    engine (:mod:`repro.stream`) hands it pre-assembled slabs of dirty
+    columns with ``padding=(0, 0)``.
     """
-    return _row_conv_bn_relu(x_data, conv, bn, padding, rotate=False)
+    return _row_chain(x_data, [(conv, bn, padding)], rotate=False)
 
 
 def cube_conv_bn_relu(series: np.ndarray, conv, bn,
@@ -393,11 +471,22 @@ def cube_conv_bn_relu(series: np.ndarray, conv, bn,
 
     i.e. the row kernel with a rotated ``(F·D, D·ℓ)`` bank over a
     ``(batch, D·ℓ, n)`` im2col, D× smaller than the cube's.  The rotated
-    bank is a gather of ``F·D·D·ℓ`` weights: inside a dCAM forward slice it
-    is built once for all the slice's micro-batches, elsewhere on every
-    call.  Agrees with the cube path to float round-off, not bitwise.
+    bank is a gather of ``F·D·D·ℓ`` weights: inside a fold memo it is built
+    once, elsewhere on every call.  Agrees with the cube path to float
+    round-off, not bitwise.
     """
-    return _row_conv_bn_relu(series, conv, bn, padding, rotate=True)
+    return _row_chain(series, [(conv, bn, padding)], rotate=True)
+
+
+def cube_row_chain(series: np.ndarray, blocks) -> np.ndarray:
+    """:func:`cube_conv_bn_relu` of ``blocks[0]``, then each later row block, as one chain.
+
+    ``blocks`` lists ``(conv, bn)`` pairs with their convs' own padding.
+    Bitwise the blocks one at a time (:func:`cube_conv_bn_relu`, then
+    :func:`fused_conv_bn_relu`), without their activation copies between
+    blocks (:func:`_row_chain`).
+    """
+    return _row_chain(series, [(conv, bn, None) for conv, bn in blocks], rotate=True)
 
 
 def conv1d(

@@ -15,9 +15,13 @@ captured it have run.  Buffer contents are either fully overwritten (im2col)
 or explicitly zero-filled (col2im) before use, so reuse is invisible to the
 numerics.
 
-A :class:`SliceScratch` is the inference twin, entered by one dCAM forward
-slice (:func:`repro.core.dcam._forward_rows`) and read by the row kernel
-(:func:`repro.nn.functional._row_conv_bn_relu`).
+The row-block inference kernel (:func:`repro.nn.functional._row_chain`)
+reads the :class:`FoldMemo` entered on its thread, if any: a memo of folded
+blocks whose buffers are fresh.  The streaming trunk
+(:class:`repro.stream.incremental.IncrementalTrunk`) enters one for as long
+as its model is installed.  A :class:`SliceScratch` is a fold memo with
+pooled buffers, entered by one dCAM forward slice
+(:func:`repro.core.dcam._forward_rows`).
 """
 
 from __future__ import annotations
@@ -71,42 +75,50 @@ class Workspace:
 
 
 class _ActiveScratch(threading.local):
-    scratch: Optional["SliceScratch"] = None
+    scratch: Optional["FoldMemo"] = None
 
 
 _active = _ActiveScratch()
 
 
-def active_slice_scratch() -> Optional["SliceScratch"]:
-    """The :class:`SliceScratch` entered on this thread, if any."""
+def active_slice_scratch() -> Optional["FoldMemo"]:
+    """The :class:`FoldMemo` or :class:`SliceScratch` entered on this thread, if any."""
     return _active.scratch
 
 
-class SliceScratch(Workspace):
-    """One forward slice's scratch: buffers plus a memo of folded blocks.
+class FoldMemo:
+    """Folded row blocks, each kept while the arrays its fold read stay the same.
 
-    A context manager that makes itself this thread's
+    A fold is keyed on its BatchNorm and checked against the conv weight and
+    bias and the BatchNorm's affine and running arrays by identity, so a
+    cast or a swapped model (new arrays) refolds; an in-place edit of those
+    arrays does not, so a memo must not outlive an in-place edit.  One entry
+    per block: nothing grows with the inputs.  Buffers are fresh
+    (:meth:`acquire`).  A context manager that makes itself this thread's
     :func:`active_slice_scratch` and restores the previous one on exit, on
-    return or raise alike.  Weights and BatchNorm statistics may change
-    between slices, never within one, so the memo lives exactly as long as
-    the scratch.
+    return or raise alike.
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self._folds: Dict[tuple, tuple] = {}
-        self._previous: List[Optional[SliceScratch]] = []
+        self._previous: List[Optional[FoldMemo]] = []
 
     def fold(self, conv, bn, rotate: bool, build: Callable[[], tuple]) -> tuple:
-        """``build()`` for the ``(conv, bn, rotate)`` block, once per scratch."""
-        key = (id(conv), id(bn), rotate)
+        """``build()`` for the ``(conv, bn, rotate)`` block, again only once its arrays change."""
+        sources = (conv.weight.data, None if conv.bias is None else conv.bias.data,
+                   bn.weight.data, bn.bias.data, bn.running_mean, bn.running_var)
+        key = (id(bn), rotate)
         entry = self._folds.get(key)
-        if entry is None:
-            # Holding the modules keeps their ids from being reused.
-            entry = self._folds[key] = (conv, bn, build())
+        if entry is None or any(old is not new for old, new in zip(entry[1], sources)):
+            # Holding the BatchNorm keeps its id from being reused.
+            entry = self._folds[key] = (bn, sources, build())
         return entry[2]
 
-    def __enter__(self) -> "SliceScratch":
+    def acquire(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """A fresh buffer: a fold memo keeps none."""
+        return np.empty(shape, dtype)
+
+    def __enter__(self) -> "FoldMemo":
         self._previous.append(_active.scratch)
         _active.scratch = self
         return self
@@ -114,3 +126,16 @@ class SliceScratch(Workspace):
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         _active.scratch = self._previous.pop()
         return False
+
+
+class SliceScratch(Workspace, FoldMemo):
+    """One forward slice's scratch: pooled buffers plus a fold memo.
+
+    Buffers come from the :class:`Workspace` pool.  Weights and BatchNorm
+    statistics may change between slices, never within one, so the memo
+    lives exactly as long as the scratch.
+    """
+
+    def __init__(self) -> None:
+        Workspace.__init__(self)
+        FoldMemo.__init__(self)

@@ -58,6 +58,7 @@ import numpy as np
 
 from ..nn import BatchNorm, Conv1d, Conv2d, ReLU, Sequential, row_conv_block
 from ..nn.functional import cube_conv_bn_relu, fused_conv_bn_relu
+from ..nn.workspace import FoldMemo
 
 __all__ = ["IncrementalTrunk", "UnsupportedArchitectureError", "supports_incremental"]
 
@@ -98,7 +99,7 @@ class UnsupportedArchitectureError(TypeError):
 class _Block:
     """One Conv→BatchNorm→ReLU block plus its time-padding metadata."""
 
-    __slots__ = ("conv", "bn", "pad", "lifted", "series")
+    __slots__ = ("conv", "bn", "pad", "lifted", "series", "_proxy")
 
     def __init__(self, conv, bn, pad: int, lifted: bool) -> None:
         self.conv = conv
@@ -107,6 +108,7 @@ class _Block:
         self.lifted = lifted
         #: Layer 1 of a d-architecture: reads the permuted series, not the cube.
         self.series = False
+        self._proxy = None
 
     def run(self, x: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
         """The block's fused inference kernel over ``x``."""
@@ -118,21 +120,25 @@ class _Block:
         """The conv handle :func:`fused_conv_bn_relu` consumes.
 
         2D convolutions pass through unchanged; 1D convolutions are lifted to
-        height-1 2D via views built per call, so a later
-        :meth:`~repro.models.base.BaseClassifier.astype` cast is picked up.
+        height-1 2D through a view of the weight, rebuilt when the weight
+        array changes, so a later
+        :meth:`~repro.models.base.BaseClassifier.astype` cast is picked up
+        and the trunk's fold memo refolds then, and only then.
         """
         if not self.lifted:
             return self.conv
         conv = self.conv
-        return SimpleNamespace(
-            weight=SimpleNamespace(data=conv.weight.data[:, :, None, :]),
-            bias=conv.bias,
-            kernel_size=(1, conv.kernel_size),
-            in_channels=conv.in_channels,
-            out_channels=conv.out_channels,
-            stride=(1, 1),
-            padding=(0, conv.padding),
-        )
+        if self._proxy is None or self._proxy[0] is not conv.weight.data:
+            self._proxy = (conv.weight.data, SimpleNamespace(
+                weight=SimpleNamespace(data=conv.weight.data[:, :, None, :]),
+                bias=conv.bias,
+                kernel_size=(1, conv.kernel_size),
+                in_channels=conv.in_channels,
+                out_channels=conv.out_channels,
+                stride=(1, 1),
+                padding=(0, conv.padding),
+            ))
+        return self._proxy[1]
 
 
 def _validate_block(module, index: int) -> _Block:
@@ -202,6 +208,10 @@ class IncrementalTrunk:
 
     def __init__(self, model) -> None:
         self._blocks = _validate_trunk(model)
+        #: Every block's fold, kept while the model is installed (the
+        #: session builds a new trunk on ``set_model``) and refolded when a
+        #: cast replaces the arrays it read.
+        self._folds = FoldMemo()
         self._outputs: List[np.ndarray] = []
         #: Ring position of window column 0 in every cached map.
         self.offset = 0
@@ -226,9 +236,10 @@ class IncrementalTrunk:
         """
         outputs: List[np.ndarray] = []
         current = x
-        for block in self._blocks:
-            current = block.run(current, (0, block.pad))
-            outputs.append(current)
+        with self._folds:
+            for block in self._blocks:
+                current = block.run(current, (0, block.pad))
+                outputs.append(current)
         self._outputs = outputs
         self.offset = 0
         return current, (x.shape[-1], 0)
@@ -251,24 +262,25 @@ class IncrementalTrunk:
             return self.reset(lift(ring_read(source, start, 0, width)))
         offset = self.offset = (self.offset + hop) % width
         a, b = 0, width - hop
-        for block, out in zip(self._blocks, self._outputs):
-            pad = block.pad
-            a_new, b_new = min(width, a + pad), max(0, b - pad)
-            if a_new >= b_new:
-                # Dirty regions met: recompute the whole layer (and, since
-                # everything below is now dirty, every layer above it).
-                whole = lift(ring_read(source, start, 0, width))
-                ring_write(out, offset, 0, block.run(whole, (0, pad)))
-                a, b = width, 0
-            else:
-                right = ring_read(source, start, b_new - pad, width - b_new + pad)
-                junction = np.zeros(right.shape[:-1] + (2 * pad,), dtype=right.dtype)
-                left = ring_read(source, start, 0, a_new + pad)
-                slab = lift(np.concatenate((right, junction, left), axis=-1))
-                fresh = block.run(slab, (0, 0))
-                kept = width - b_new
-                ring_write(out, offset, b_new, fresh[..., :kept])
-                ring_write(out, offset, 0, fresh[..., kept + 2 * pad :])
-                a, b = a_new, b_new
-            source, start, lift = out, offset, np.asarray  # the map as it is
+        with self._folds:
+            for block, out in zip(self._blocks, self._outputs):
+                pad = block.pad
+                a_new, b_new = min(width, a + pad), max(0, b - pad)
+                if a_new >= b_new:
+                    # Dirty regions met: recompute the whole layer (and, since
+                    # everything below is now dirty, every layer above it).
+                    whole = lift(ring_read(source, start, 0, width))
+                    ring_write(out, offset, 0, block.run(whole, (0, pad)))
+                    a, b = width, 0
+                else:
+                    right = ring_read(source, start, b_new - pad, width - b_new + pad)
+                    junction = np.zeros(right.shape[:-1] + (2 * pad,), dtype=right.dtype)
+                    left = ring_read(source, start, 0, a_new + pad)
+                    slab = lift(np.concatenate((right, junction, left), axis=-1))
+                    fresh = block.run(slab, (0, 0))
+                    kept = width - b_new
+                    ring_write(out, offset, b_new, fresh[..., :kept])
+                    ring_write(out, offset, 0, fresh[..., kept + 2 * pad :])
+                    a, b = a_new, b_new
+                source, start, lift = out, offset, np.asarray  # the map as it is
         return out, (a, b)

@@ -163,9 +163,9 @@ def test_cube_architectures_keep_the_cube_path_bitwise(make_model, monkeypatch):
     captured = {}
     original = core_dcam._assemble_result
 
-    def capture(cams, orders, predicted, class_id, use_only_correct):
+    def capture(cams, orders, predicted, *args):
         captured.update(cams=cams, predicted=predicted)
-        return original(cams, orders, predicted, class_id, use_only_correct)
+        return original(cams, orders, predicted, *args)
 
     monkeypatch.setattr(core_dcam, "_assemble_result", capture)
     compute_dcam(model, series, 1, permutations=permutations, batch_size=5)

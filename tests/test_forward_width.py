@@ -88,10 +88,15 @@ class TestForwardWidth:
 
     def test_the_cube_free_first_layer_counts_its_own_im2col(self):
         # Layer 1 reads the (D·ℓ, n) series im2col, not D·ℓ rows over D·n
-        # columns; the widest buffer is block 2's 32·3 rows over D·n.
+        # columns; the most a micro-batch holds at once is the hand-off from
+        # block 2 to block 3, their 16·3 and 32·3 rows over D·n.
         model = DCNNClassifier(60, 50, 2, filters=(16, 32, 32), rng=np.random.default_rng(0)).eval()
-        assert _forward_width(model, 60, 50, 32) == core_dcam._FORWARD_BYTES // (8 * 96 * 60 * 50)
-        assert _forward_width(model, 60, 50, 32) == 3
+        held = (16 * 3 + 32 * 3) * 60 * 50
+        assert _forward_width(model, 60, 50, 32) == core_dcam._FORWARD_BYTES // (8 * held)
+        assert _forward_width(model, 60, 50, 32) == 2
+
+    def test_one_micro_batch_at_paper_scale(self):
+        assert _forward_width(paper_dcnn(), 40, 100, 32) == 1
 
     def test_float32_is_at_least_as_wide(self):
         wide = _forward_width(paper_dcnn().astype(np.float32), 40, 100, 1000)
@@ -123,7 +128,9 @@ def test_cold_cache_matches_uncached_at_a_width_that_does_not_divide_the_cap(mon
     # Width 3 under a cap of 8, and a materialisation cap small enough that
     # every instance is its own group: each group's 25 missing rows go
     # through one forward call of widths 3, 3, ..., 1.
-    per_item = 8 * 4 * 3 * 5 * LENGTH  # block 2's im2col: 4 channels · ℓ=3 over D·n
+    # The hand-off from layer 1 to block 2: layer 1's 5·3 rows over n and
+    # block 2's 4·3 rows over D·n.
+    per_item = 8 * (5 * 3 * LENGTH + 4 * 3 * 5 * LENGTH)
     monkeypatch.setattr(core_dcam, "_FORWARD_BYTES", 3 * per_item)
     monkeypatch.setattr(core_dcam, "_BATCH_MATERIALIZE_BYTES", 10 * 2 * 5 * LENGTH * 8)
     assert _forward_width(model, 5, LENGTH, 8) == 3

@@ -303,6 +303,55 @@ class TestModelSwap:
         assert_emissions_match(*collected)
         assert sessions[0].stats["cold_starts"] == 2
 
+    def test_folds_are_kept_while_a_model_is_installed(self, monkeypatch):
+        import repro.nn.functional as functional
+
+        folds = []
+        original = functional._fold_row_block
+
+        def counting(conv, bn, rotate):
+            folds.append(id(bn))
+            return original(conv, bn, rotate)
+
+        monkeypatch.setattr(functional, "_fold_row_block", counting)
+        session = StreamSession(make_model(seed=1), StreamConfig(hop=1, k=5))
+        run_stream(session, make_feed(60))
+        assert len(folds) == 2  # one per block, not one per block per hop
+        session.set_model(make_model(seed=9))
+        run_stream(session, make_feed(40, seed=1))
+        assert len(folds) == 4
+
+    def test_new_statistics_and_a_cast_match_naive(self):
+        """``set_model`` with replaced BatchNorm arrays, then with a float32 cast."""
+        feed = make_feed(120)
+        models = [make_model(seed=1), make_model(seed=1)]
+        sessions = [
+            StreamSession(models[0], StreamConfig(hop=3, k=5)),
+            StreamSession(models[1], StreamConfig(hop=3, k=5, engine="naive")),
+        ]
+        collected = [[], []]
+        for t in range(feed.shape[1]):
+            for model, session in zip(models, sessions):
+                if t == 50:
+                    for module in model.feature_extractor:
+                        bn = module[1]
+                        bn.running_var = bn.running_var * 3.0
+                        bn.running_mean = bn.running_mean + 0.5
+                    session.set_model(model)
+                if t == 85:
+                    session.set_model(model.astype(np.float32))
+            for results, session in zip(collected, sessions):
+                results.extend(session.push(feed[:, t]))
+        before = [[r for r in results if r.t_end <= 85] for results in collected]
+        after = [[r for r in results if r.t_end > 85] for results in collected]
+        assert any(r.t_end > 50 for r in before[0])
+        assert_emissions_match(*before)
+        assert after[0] and after[0][0].logits.dtype == np.float32
+        assert np.array_equal(after[0][0].heatmap, after[1][0].heatmap)  # a cold start
+        for a, b in zip(*after):
+            np.testing.assert_allclose(a.logits, b.logits, atol=1e-4, rtol=1e-3)
+            np.testing.assert_allclose(a.heatmap, b.heatmap, atol=1e-4, rtol=1e-3)
+
     def test_swap_rejects_shape_mismatch(self):
         session = StreamSession(make_model(), StreamConfig(k=4))
         with pytest.raises(ValueError, match="length"):
